@@ -1,25 +1,14 @@
-//! Microbenchmarks of the event-queue backends themselves: schedule/pop
-//! churn at steady pending populations, heap vs calendar, clustered vs
-//! uniform timestamps.
+//! Microbenchmarks of the event queue itself: schedule/pop churn at steady
+//! pending populations, clustered vs uniform timestamps, and fill-then-drain
+//! bursts.
 //!
-//! The pending population is the backends' separating variable: the binary
-//! heap pays `O(log n)` per operation while the calendar queue pays `O(1)`
-//! amortised, so the gap should widen from 1k to 100k pending. The
-//! timestamp distribution separates the calendar's regimes: clustered
-//! times pile many events into few buckets (batched same-time delivery's
-//! home turf), uniform times spread the wheel and exercise cursor
-//! advancement and resize.
-//!
-//! The clustered/100k cell is the historical calendar-queue degradation:
-//! thousands of events share a handful of timestamps, and an unsorted
-//! bucket would make each pop scan its whole same-time cohort. The sorted
-//! bucket chains dodge it — cohort members carry strictly increasing
-//! sequence numbers, so each lands on its bucket's tail in O(1) and pop
-//! takes the head — but this cell stays in the grid so a regression back
-//! toward the cliff is visible.
+//! The pending population sets the heap's `O(log n)` depth, so the cost per
+//! operation should grow from 1k to 100k pending. Clustered times put many
+//! events on one timestamp (the same-time cohorts batched delivery drains),
+//! uniform times spread them across ~1 ms.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use gpreempt_sim::{EventQueue, QueueKind};
+use gpreempt_sim::EventQueue;
 use gpreempt_types::SimTime;
 use std::hint::black_box;
 
@@ -45,12 +34,11 @@ impl Times {
         self.state ^= self.state << 17;
         let raw = self.state.wrapping_mul(0x2545_f491_4f6c_dd1d);
         let nanos = if self.clustered {
-            // A handful of distinct timestamps per horizon: many events
-            // share a bucket (and a timestamp), as quantum-tick storms do.
+            // A handful of distinct timestamps: many events share one, as
+            // quantum-tick storms do.
             (raw % 16) * 4_096
         } else {
-            // Spread across ~1ms: events land in distinct buckets and the
-            // calendar cursor sweeps, wraps and resizes.
+            // Spread across ~1ms: timestamps rarely repeat.
             raw % 1_000_000
         };
         SimTime::from_nanos(nanos)
@@ -61,55 +49,51 @@ impl Times {
 /// each iteration schedules one event and pops one, holding the population
 /// constant — the dominant pattern inside `Simulator::run_inner`.
 fn bench_churn(c: &mut Criterion) {
-    for kind in [QueueKind::Heap, QueueKind::Calendar] {
-        let mut group = c.benchmark_group(format!("event_queue_churn/{}", kind.label()));
-        group.throughput(Throughput::Elements(1));
-        for pending in [1_000usize, 100_000] {
-            for clustered in [true, false] {
-                let dist = if clustered { "clustered" } else { "uniform" };
-                let mut queue: EventQueue<u64> = EventQueue::with_kind_and_capacity(kind, pending);
-                let mut times = Times::new(0x9e37_79b9 ^ pending as u64, clustered);
-                for i in 0..pending {
-                    let offset = times.next_offset();
-                    queue.schedule_after(offset, i as u64);
-                }
-                group.bench_function(format!("{pending}/{dist}"), |b| {
-                    b.iter(|| {
-                        let offset = times.next_offset();
-                        queue.schedule_after(offset, 0);
-                        black_box(queue.pop());
-                    })
-                });
+    let mut group = c.benchmark_group("event_queue_churn");
+    group.throughput(Throughput::Elements(1));
+    for pending in [1_000usize, 100_000] {
+        for clustered in [true, false] {
+            let dist = if clustered { "clustered" } else { "uniform" };
+            let mut queue: EventQueue<u64> = EventQueue::with_capacity(pending);
+            let mut times = Times::new(0x9e37_79b9 ^ pending as u64, clustered);
+            for i in 0..pending {
+                let offset = times.next_offset();
+                queue.schedule_after(offset, i as u64);
             }
+            group.bench_function(format!("{pending}/{dist}"), |b| {
+                b.iter(|| {
+                    let offset = times.next_offset();
+                    queue.schedule_after(offset, 0);
+                    black_box(queue.pop());
+                })
+            });
         }
-        group.finish();
     }
+    group.finish();
 }
 
 /// Fill-then-drain: schedules `pending` events into an empty queue, then
 /// pops them all — the open-loop arrival burst shape. Timed per event.
 fn bench_fill_drain(c: &mut Criterion) {
-    for kind in [QueueKind::Heap, QueueKind::Calendar] {
-        let mut group = c.benchmark_group(format!("event_queue_fill_drain/{}", kind.label()));
-        for pending in [1_000usize, 100_000] {
-            group.throughput(Throughput::Elements(pending as u64));
-            let mut queue: EventQueue<u64> = EventQueue::with_kind_and_capacity(kind, pending);
-            let mut times = Times::new(0xdead_beef, false);
-            group.bench_function(format!("{pending}"), |b| {
-                b.iter(|| {
-                    queue.reset();
-                    for i in 0..pending {
-                        let offset = times.next_offset();
-                        queue.schedule_after(offset, i as u64);
-                    }
-                    while let Some(popped) = queue.pop() {
-                        black_box(popped);
-                    }
-                })
-            });
-        }
-        group.finish();
+    let mut group = c.benchmark_group("event_queue_fill_drain");
+    for pending in [1_000usize, 100_000] {
+        group.throughput(Throughput::Elements(pending as u64));
+        let mut queue: EventQueue<u64> = EventQueue::with_capacity(pending);
+        let mut times = Times::new(0xdead_beef, false);
+        group.bench_function(format!("{pending}"), |b| {
+            b.iter(|| {
+                queue.reset();
+                for i in 0..pending {
+                    let offset = times.next_offset();
+                    queue.schedule_after(offset, i as u64);
+                }
+                while let Some(popped) = queue.pop() {
+                    black_box(popped);
+                }
+            })
+        });
     }
+    group.finish();
 }
 
 criterion_group!(benches, bench_churn, bench_fill_drain);

@@ -7,25 +7,22 @@
 //! * **criterion** (default): one benchmark per worker count over a fixed
 //!   quick-scale plan, with `Throughput::Elements` set to the plan's total
 //!   simulation events, so the report reads in events/sec.
-//! * **smoke** (`GPREEMPT_SWEEP_SMOKE=1`): runs the plan sequentially in
-//!   **rebuild** mode (fresh `SimWorkspace` per scenario, the pre-arena
-//!   behaviour) and **reuse** mode (one arena for the whole stream), plus
-//!   `--jobs 2` reuse, a `sharded_3` leg (the population as three
-//!   sequential `id % 3` stripe passes — the single-machine cost of
-//!   `--shard`) and a core-pinned `jobs2_affinity` leg, best of three
-//!   each. Writes a machine-readable `BENCH_sweep.json` artifact —
-//!   events/sec, scenarios/sec, wall clock, peak runs-resident bound,
+//! * **smoke** (`GPREEMPT_SWEEP_SMOKE=1`): runs the plan at one and two
+//!   workers, plus a `sharded_3` leg (the population as three sequential
+//!   `id % 3` stripe passes — the single-machine cost of `--shard`) and a
+//!   core-pinned `jobs2_affinity` leg, best of three each. Writes a
+//!   machine-readable `BENCH_sweep.json` artifact — events/sec,
+//!   scenarios/sec, wall clock, peak runs-resident bound, `speedup_jobs2`,
 //!   `speedup_affinity` — to `GPREEMPT_BENCH_JSON` (default
-//!   `BENCH_sweep.json`), and **exits non-zero if reuse is slower than
-//!   rebuild, or jobs=2 slower than jobs=1**. The sharding and affinity
-//!   legs are informational, never gated. CI runs this mode.
+//!   `BENCH_sweep.json`), and **exits non-zero if jobs=2 is slower than
+//!   jobs=1**. The sharding and affinity legs are informational, never
+//!   gated. CI runs this mode.
 
 use criterion::{criterion_group, Criterion, Throughput};
 use gpreempt::experiments::ExperimentScale;
 use gpreempt::json::Value;
 use gpreempt::sweep::{Scenario, SweepPlan, SweepRunner};
 use gpreempt::{PolicyKind, SimulatorConfig};
-use gpreempt_sim::QueueKind;
 use std::time::{Duration, Instant};
 
 /// The timed unit: a quick-scale random population under FCFS and DSS —
@@ -52,23 +49,9 @@ fn plan() -> SweepPlan {
 }
 
 /// Streams the plan once, returning (wall clock, total simulation events).
-fn run_once(plan: &SweepPlan, jobs: usize, reuse: bool) -> (Duration, u64) {
-    run_once_on(plan, jobs, reuse, None)
-}
-
-/// [`run_once`] with an explicit event-queue backend override.
-fn run_once_on(
-    plan: &SweepPlan,
-    jobs: usize,
-    reuse: bool,
-    queue: Option<QueueKind>,
-) -> (Duration, u64) {
-    let mut runner = SweepRunner::new(jobs).with_reuse(reuse);
-    if let Some(kind) = queue {
-        runner = runner.with_queue(kind);
-    }
+fn run_once(plan: &SweepPlan, jobs: usize) -> (Duration, u64) {
     let started = Instant::now();
-    let folded = runner
+    let folded = SweepRunner::new(jobs)
         .run_fold(plan, &|_, run| Ok(run.events_processed()))
         .expect("sweep failed");
     (started.elapsed(), folded.events_total())
@@ -78,7 +61,7 @@ fn run_once_on(
 /// the single-machine equivalent of `run_sweep --shard k/n` × n: measures
 /// what striping itself costs relative to one unsharded pass.
 fn run_sharded(plan: &SweepPlan, n: usize) -> Duration {
-    let runner = SweepRunner::new(1).with_reuse(true);
+    let runner = SweepRunner::sequential();
     let started = Instant::now();
     for k in 0..n {
         let ids: Vec<usize> = (0..plan.len()).filter(|id| id % n == k).collect();
@@ -91,7 +74,7 @@ fn run_sharded(plan: &SweepPlan, n: usize) -> Duration {
 
 /// `--jobs 2` with each worker pinned to a core.
 fn run_once_pinned(plan: &SweepPlan) -> Duration {
-    let runner = SweepRunner::new(2).with_reuse(true).with_affinity(true);
+    let runner = SweepRunner::new(2).with_affinity(true);
     let started = Instant::now();
     runner
         .run_fold(plan, &|_, run| Ok(run.events_processed()))
@@ -101,21 +84,11 @@ fn run_once_pinned(plan: &SweepPlan) -> Duration {
 
 fn bench_sweep_throughput(c: &mut Criterion) {
     let plan = plan();
-    let (_, events) = run_once(&plan, 1, true); // warm + count events
+    let (_, events) = run_once(&plan, 1); // warm + count events
     let mut group = c.benchmark_group("sweep/run_fold");
     group.throughput(Throughput::Elements(events));
-    group.bench_function("jobs1-rebuild", |b| b.iter(|| run_once(&plan, 1, false)));
     for jobs in [1usize, 2, 4] {
-        group.bench_function(format!("jobs{jobs}"), |b| {
-            b.iter(|| run_once(&plan, jobs, true))
-        });
-    }
-    // The event-core comparison: the same sequential sweep on the heap
-    // baseline vs the calendar queue.
-    for kind in [QueueKind::Heap, QueueKind::Calendar] {
-        group.bench_function(format!("queue-{}", kind.label()), |b| {
-            b.iter(|| run_once_on(&plan, 1, true, Some(kind)))
-        });
+        group.bench_function(format!("jobs{jobs}"), |b| b.iter(|| run_once(&plan, jobs)));
     }
     group.finish();
 }
@@ -123,22 +96,11 @@ fn bench_sweep_throughput(c: &mut Criterion) {
 criterion_group!(benches, bench_sweep_throughput);
 
 /// Best-of-`n` streaming runs at one worker count.
-fn best_of(plan: &SweepPlan, jobs: usize, reuse: bool, n: usize) -> (Duration, u64) {
-    best_of_on(plan, jobs, reuse, None, n)
-}
-
-/// [`best_of`] with an explicit event-queue backend override.
-fn best_of_on(
-    plan: &SweepPlan,
-    jobs: usize,
-    reuse: bool,
-    queue: Option<QueueKind>,
-    n: usize,
-) -> (Duration, u64) {
+fn best_of(plan: &SweepPlan, jobs: usize, n: usize) -> (Duration, u64) {
     let mut best = Duration::MAX;
     let mut events = 0;
     for _ in 0..n {
-        let (wall, ev) = run_once_on(plan, jobs, reuse, queue);
+        let (wall, ev) = run_once(plan, jobs);
         if wall < best {
             best = wall;
         }
@@ -178,15 +140,8 @@ fn mode_value(jobs: usize, wall: Duration, events: u64, scenarios: usize) -> Val
 fn smoke() {
     let plan = plan();
     let scenarios = plan.len();
-    // Rebuild: fresh workspace per scenario — the pre-arena baseline.
-    let (wall_rebuild, events) = best_of(&plan, 1, false, 3);
-    // Reuse: one arena services the worker's whole scenario stream.
-    let (wall1, _) = best_of(&plan, 1, true, 3);
-    let (wall2, _) = best_of(&plan, 2, true, 3);
-    // Event-queue backends head to head, sequential reuse mode: the heap
-    // baseline vs the calendar queue the simulator now defaults to.
-    let (wall_heap, _) = best_of_on(&plan, 1, true, Some(QueueKind::Heap), 3);
-    let (wall_calendar, _) = best_of_on(&plan, 1, true, Some(QueueKind::Calendar), 3);
+    let (wall1, events) = best_of(&plan, 1, 3);
+    let (wall2, _) = best_of(&plan, 2, 3);
     // Sharding overhead: the same population as three sequential stripe
     // passes. Informational — stripes exist for resumability and
     // multi-node fan-out, not single-pass speed.
@@ -211,31 +166,16 @@ fn smoke() {
         ("bench", Value::from("sweep_throughput")),
         ("scale", Value::from("quick")),
         ("scenarios", Value::from(scenarios)),
-        ("rebuild", mode_value(1, wall_rebuild, events, scenarios)),
-        ("reuse", mode_value(1, wall1, events, scenarios)),
         ("jobs1", mode_value(1, wall1, events, scenarios)),
         ("jobs2", mode_value(2, wall2, events, scenarios)),
-        ("queue_heap", mode_value(1, wall_heap, events, scenarios)),
-        (
-            "queue_calendar",
-            mode_value(1, wall_calendar, events, scenarios),
-        ),
         ("sharded_3", mode_value(1, wall_sharded, events, scenarios)),
         (
             "jobs2_affinity",
             mode_value(2, wall_pinned, events, scenarios),
         ),
         (
-            "speedup_reuse",
-            Value::from(wall_rebuild.as_secs_f64() / wall1.as_secs_f64().max(1e-9)),
-        ),
-        (
             "speedup_jobs2",
             Value::from(wall1.as_secs_f64() / wall2.as_secs_f64().max(1e-9)),
-        ),
-        (
-            "speedup_calendar",
-            Value::from(wall_heap.as_secs_f64() / wall_calendar.as_secs_f64().max(1e-9)),
         ),
         (
             "speedup_affinity",
@@ -245,37 +185,18 @@ fn smoke() {
     let path = std::env::var("GPREEMPT_BENCH_JSON").unwrap_or_else(|_| "BENCH_sweep.json".into());
     std::fs::write(&path, report.to_json()).expect("write bench artifact");
     println!(
-        "sweep_throughput smoke: {scenarios} scenarios, rebuild {:.1?} vs reuse {:.1?} \
-         ({:.1} vs {:.1} scenarios/s), jobs2 {:.1?} (pinned {:.1?}), heap {:.1?} vs \
-         calendar {:.1?}, 3-stripe {:.1?} -> {path}",
-        wall_rebuild,
+        "sweep_throughput smoke: {scenarios} scenarios, jobs1 {:.1?} ({:.1} scenarios/s), \
+         jobs2 {:.1?} (pinned {:.1?}), 3-stripe {:.1?} -> {path}",
         wall1,
-        scenarios as f64 / wall_rebuild.as_secs_f64().max(1e-9),
         scenarios as f64 / wall1.as_secs_f64().max(1e-9),
         wall2,
         wall_pinned,
-        wall_heap,
-        wall_calendar,
         wall_sharded,
     );
     // "Slower" with a noise margin: shared CI runners jitter by a few
-    // percent, and these gates exist to catch structural regressions, not
+    // percent, and this gate exists to catch structural regressions, not
     // scheduler weather.
     const TOLERANCE: f64 = 1.15;
-    if wall1.as_secs_f64() > wall_rebuild.as_secs_f64() * TOLERANCE {
-        eprintln!(
-            "FAIL: workspace reuse ({wall1:.1?}) is slower than per-scenario \
-             rebuild ({wall_rebuild:.1?})"
-        );
-        std::process::exit(1);
-    }
-    if wall_calendar.as_secs_f64() > wall_heap.as_secs_f64() * TOLERANCE {
-        eprintln!(
-            "FAIL: calendar queue ({wall_calendar:.1?}) is slower than the heap \
-             baseline ({wall_heap:.1?})"
-        );
-        std::process::exit(1);
-    }
     let cpus = std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(1);

@@ -17,10 +17,6 @@
 //!   changes wall-clock time.
 //! * `--format table|json` (default `table`). JSON goes to stdout; the
 //!   wall-clock summary always goes to stderr so piped JSON stays clean.
-//! * `--queue auto|heap|calendar` selects the event-queue backend
-//!   (default `auto`: calendar for open-arrival workloads, whose event
-//!   population churns, heap otherwise). Results are bit-identical for
-//!   every choice; only throughput differs.
 //! * `--seed N` overrides the workload-generation seed of the scale.
 //! * `--affinity` pins each sweep worker to a core (Linux only; a no-op
 //!   elsewhere).
@@ -59,7 +55,6 @@ use gpreempt::experiments::{
     ExperimentScale, Fig2Results, IsolatedRunCache, MechanismResults, PriorityResults,
     RealtimeResults, SaturationResults, SpatialResults,
 };
-use gpreempt::sim::QueueKind;
 use gpreempt::sweep::{
     JsonlSink, MergedValues, ShardManifest, ShardSession, ShardSpec, SweepExec, SweepReport,
     SweepRunner, SweepTiming,
@@ -129,8 +124,6 @@ fn usage() {
     println!("  --scale quick|bench|paper                          (default quick)");
     println!("  --jobs N          worker threads, 0 = one per CPU  (default 0)");
     println!("  --format table|json                                (default table)");
-    println!("  --queue auto|heap|calendar  event-queue backend    (default auto:");
-    println!("                    calendar for open-arrival workloads, heap otherwise)");
     println!("  --seed N          workload-generation seed override");
     println!("  --affinity        pin each sweep worker to a core (Linux; no-op elsewhere)");
     println!("  --depth-trace US  sample per-process queue depth every US microseconds");
@@ -180,7 +173,6 @@ fn run_experiments(
     sink: Option<&JsonlSink>,
     exec: &SweepExec<'_>,
     timing_table: bool,
-    queue_label: &str,
 ) -> Result<(SweepReport, Vec<String>, SweepTiming), Box<dyn std::error::Error>> {
     let mut report = SweepReport::new(scale.seed);
     let mut timing = SweepTiming::default();
@@ -201,12 +193,11 @@ fn run_experiments(
     let note = |name: &str, t: &SweepTiming| {
         if timing_table {
             eprintln!(
-                "{name}: {} scenarios, {} events in {:.2?} ({:.0} events/s, {} queue)",
+                "{name}: {} scenarios, {} events in {:.2?} ({:.0} events/s)",
                 t.entries.len(),
                 t.events,
                 t.total,
                 t.events_per_sec(),
-                queue_label,
             );
         }
     };
@@ -338,7 +329,7 @@ fn merge_main(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     let config = SimulatorConfig::default();
     // Only the cheap isolated probes actually simulate during a merge; the
     // sweep bodies are replayed from the checkpoints.
-    let runner = SweepRunner::new(jobs).with_auto_queue();
+    let runner = SweepRunner::new(jobs);
     let isolated_cache = IsolatedRunCache::new();
     let sink = match &out_path {
         Some(path) => Some(JsonlSink::create(path)?),
@@ -354,7 +345,6 @@ fn merge_main(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
         sink.as_ref(),
         &exec,
         timing_table,
-        "auto",
     )?;
 
     match format {
@@ -390,7 +380,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut jobs = 0usize;
     let mut format = Format::Table;
     let mut seed: Option<u64> = None;
-    let mut queue: Option<QueueKind> = None;
     let mut affinity = false;
     let mut depth_trace_us: Option<u64> = None;
     let mut timing_table = false;
@@ -412,14 +401,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                     Some("table") => Format::Table,
                     Some("json") => Format::Json,
                     other => return Err(format!("unknown format {other:?}").into()),
-                }
-            }
-            "--queue" => {
-                queue = match args.next().as_deref() {
-                    Some("auto") => None,
-                    Some("heap") => Some(QueueKind::Heap),
-                    Some("calendar") => Some(QueueKind::Calendar),
-                    other => return Err(format!("unknown queue backend {other:?}").into()),
                 }
             }
             "--seed" => seed = Some(args.next().ok_or("missing seed")?.parse()?),
@@ -479,12 +460,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     };
 
     let config = SimulatorConfig::default();
-    let runner = match queue {
-        Some(kind) => SweepRunner::new(jobs).with_queue(kind),
-        None => SweepRunner::new(jobs).with_auto_queue(),
-    }
-    .with_affinity(affinity);
-    let queue_label = queue.map_or("auto", QueueKind::label);
+    let runner = SweepRunner::new(jobs).with_affinity(affinity);
     // One isolated-run cache for the whole invocation: under
     // `--experiment all` the priority, spatial, mechanism and realtime
     // experiments share the same base configuration, so each distinct
@@ -509,7 +485,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         sink.as_ref(),
         &exec,
         timing_table,
-        queue_label,
     )?;
 
     if let Some((session, path)) = &session {

@@ -417,7 +417,7 @@ impl Simulator {
         // scheduling rarely grows the heap. Horizon-capped runs use a huge
         // replay target as "never finish", so clamp the guess.
         let queue = &mut ws.queue;
-        queue.reset_with(engine_params.queue);
+        queue.reset();
         queue.reserve(
             (workload.min_completions() as usize)
                 .saturating_mul(workload.len())

@@ -3,9 +3,10 @@
 use crate::report::TextTable;
 use crate::simulator::{SimWorkspace, SimulationRun, Simulator};
 use crate::sweep::{FoldedScenario, Scenario, ScenarioResult, SweepPlan};
-use gpreempt_sim::{thread_allocations, QueueKind};
+use gpreempt_sim::thread_allocations;
 use gpreempt_trace::TraceInterner;
 use gpreempt_types::SimError;
+use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
@@ -33,26 +34,14 @@ pub type ScenarioTap<'a, T> = dyn Fn(&Scenario, &T) -> Result<(), SimError> + Sy
 /// are reassembled in scenario-id order, which makes the output of
 /// `jobs = N` bit-identical to `jobs = 1` — and to the historical
 /// hand-rolled sequential harness loops.
+///
+/// Each worker keeps one [`SimWorkspace`] arena for its whole scenario
+/// stream; reset is observationally a fresh construction, so reuse changes
+/// allocation traffic and wall clock, never results.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SweepRunner {
     jobs: usize,
-    reuse: bool,
-    queue: QueueChoice,
     affinity: bool,
-}
-
-/// How the runner picks each scenario's event-queue backend.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum QueueChoice {
-    /// Use whatever the plan's base configuration selects.
-    Plan,
-    /// Per-scenario heuristic: the calendar queue wins only under the
-    /// churn-heavy open-arrival workloads (timer-driven releases keep the
-    /// near-future bucket wheel full); closed-loop workloads run faster on
-    /// the plain heap. Results are bit-identical either way.
-    Auto,
-    /// One backend for every scenario.
-    Fixed(QueueKind),
 }
 
 impl SweepRunner {
@@ -68,8 +57,6 @@ impl SweepRunner {
         };
         SweepRunner {
             jobs,
-            reuse: true,
-            queue: QueueChoice::Plan,
             affinity: false,
         }
     }
@@ -77,43 +64,6 @@ impl SweepRunner {
     /// A single-threaded runner (the historical harness behaviour).
     pub fn sequential() -> Self {
         SweepRunner::new(1)
-    }
-
-    /// Controls workspace reuse across the scenarios a worker runs.
-    ///
-    /// On by default: each worker keeps one [`SimWorkspace`] arena for its
-    /// whole scenario stream. `false` rebuilds the workspace from scratch
-    /// per scenario — the pre-arena behaviour, kept as the baseline leg of
-    /// the rebuild-vs-reuse benchmark. Results are identical either way
-    /// (reset is observationally a fresh construction); only allocation
-    /// traffic and wall clock differ.
-    #[must_use]
-    pub fn with_reuse(mut self, reuse: bool) -> Self {
-        self.reuse = reuse;
-        self
-    }
-
-    /// Overrides the event-queue backend every scenario runs on, regardless
-    /// of what the plan's base configuration selects. Results are
-    /// bit-identical across backends (the queue contract pins delivery
-    /// order); this exists for the heap-vs-calendar benchmark legs and for
-    /// harness flags, so a whole sweep can be flipped without rebuilding
-    /// its plan.
-    #[must_use]
-    pub fn with_queue(mut self, kind: QueueKind) -> Self {
-        self.queue = QueueChoice::Fixed(kind);
-        self
-    }
-
-    /// Picks the event-queue backend per scenario: the calendar queue for
-    /// churn-heavy open-arrival workloads (where its bucket wheel wins),
-    /// the plain heap for everything else (where the calendar's bookkeeping
-    /// loses ~1.1–1.5×). Results are bit-identical across backends, so this
-    /// is purely a throughput heuristic.
-    #[must_use]
-    pub fn with_auto_queue(mut self) -> Self {
-        self.queue = QueueChoice::Auto;
-        self
     }
 
     /// Pins each spawned worker thread to one CPU core (worker `w` to core
@@ -131,16 +81,6 @@ impl SweepRunner {
     /// The configured worker count.
     pub fn jobs(&self) -> usize {
         self.jobs
-    }
-
-    /// The configured fixed event-queue override, if any (`None` for both
-    /// the plan default and [`with_auto_queue`](Self::with_auto_queue)
-    /// mode).
-    pub fn queue(&self) -> Option<QueueKind> {
-        match self.queue {
-            QueueChoice::Fixed(kind) => Some(kind),
-            QueueChoice::Plan | QueueChoice::Auto => None,
-        }
     }
 
     /// Whether worker-thread core pinning is enabled.
@@ -292,18 +232,8 @@ impl SweepRunner {
             let mut ws = SimWorkspace::new();
             let mut interner = TraceInterner::new();
             for (i, &id) in ids.iter().enumerate() {
-                if !self.reuse {
-                    ws = SimWorkspace::new();
-                }
-                let outcome = Self::execute(
-                    plan,
-                    &scenarios[id],
-                    self.queue,
-                    &mut ws,
-                    &mut interner,
-                    fold,
-                    tap,
-                );
+                let outcome =
+                    Self::execute(plan, &scenarios[id], &mut ws, &mut interner, fold, tap);
                 let failed = outcome.is_err();
                 slots[i] = Some(outcome);
                 if failed {
@@ -357,13 +287,9 @@ impl SweepRunner {
                                 }
                                 let end = (start + chunk).min(ids.len());
                                 for (i, &id) in ids[start..end].iter().enumerate() {
-                                    if !self.reuse {
-                                        ws = SimWorkspace::new();
-                                    }
                                     let outcome = Self::execute(
                                         plan,
                                         &scenarios[id],
-                                        self.queue,
                                         &mut ws,
                                         &mut interner,
                                         fold,
@@ -418,10 +344,14 @@ impl SweepRunner {
     /// and hands the fold output to the tap. Allocation counts are the
     /// worker thread's delta across intern + simulate + fold + tap (zero
     /// unless the process installed [`gpreempt_sim::CountingAlloc`]).
+    ///
+    /// A panic anywhere in those steps becomes a [`SimError`] naming the
+    /// scenario's id, group, label and seed, so it is reported like any
+    /// other scenario failure. The panic may have left the workspace half
+    /// updated, so the worker continues on a fresh one.
     fn execute<T>(
         plan: &SweepPlan,
         scenario: &Scenario,
-        queue: QueueChoice,
         ws: &mut SimWorkspace,
         interner: &mut TraceInterner,
         fold: &ScenarioFold<'_, T>,
@@ -434,37 +364,41 @@ impl SweepRunner {
         if let Some(seed) = scenario.seed {
             config = config.with_seed(seed);
         }
-        // Queue backends deliver bit-identical event orders, so this choice
-        // affects throughput only — which is exactly why Auto can pick per
-        // scenario without perturbing any result.
-        let kind = match queue {
-            QueueChoice::Plan => None,
-            QueueChoice::Fixed(kind) => Some(kind),
-            QueueChoice::Auto => Some(if scenario.workload.has_open_arrivals() {
-                QueueKind::Calendar
-            } else {
-                QueueKind::Heap
-            }),
-        };
-        if let Some(kind) = kind {
-            config.engine.queue = kind;
-        }
+        let seed = config.seed;
         let wall = Instant::now();
         let allocs_before = thread_allocations();
-        // Intern the scenario's traces through the worker's table: every
-        // structurally repeated application across the stream replays one
-        // shared kernel table and op list instead of its own copy. The
-        // interned workload compares equal to the original, so results are
-        // unchanged.
-        let workload = scenario.workload.interned(interner);
-        let sim = Simulator::new(config);
-        let run = match scenario.horizon {
-            Some(horizon) => sim.run_until_with(ws, &workload, scenario.policy, horizon)?,
-            None => sim.run_with(ws, &workload, scenario.policy)?,
+        // Unwind safety: the workspace is replaced below after a panic, and
+        // the interner only ever holds whole traces.
+        let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| -> Result<_, SimError> {
+            // Intern the scenario's traces through the worker's table: every
+            // structurally repeated application across the stream replays
+            // one shared kernel table and op list instead of its own copy.
+            // The interned workload compares equal to the original, so
+            // results are unchanged.
+            let workload = scenario.workload.interned(interner);
+            let sim = Simulator::new(config);
+            let run = match scenario.horizon {
+                Some(horizon) => sim.run_until_with(ws, &workload, scenario.policy, horizon)?,
+                None => sim.run_with(ws, &workload, scenario.policy)?,
+            };
+            let events = run.events_processed();
+            let value = fold(scenario, run)?;
+            tap(scenario, &value)?;
+            Ok((value, events))
+        }));
+        let (value, events) = match outcome {
+            Ok(result) => result?,
+            Err(payload) => {
+                *ws = SimWorkspace::new();
+                return Err(SimError::internal(format!(
+                    "scenario {} ({} / {}, seed {seed}) panicked: {}",
+                    scenario.id,
+                    scenario.group,
+                    scenario.label,
+                    panic_message(payload.as_ref())
+                )));
+            }
         };
-        let events = run.events_processed();
-        let value = fold(scenario, run)?;
-        tap(scenario, &value)?;
         Ok(FoldedScenario {
             scenario_id: scenario.id,
             value,
@@ -473,6 +407,16 @@ impl SweepRunner {
             allocs: thread_allocations() - allocs_before,
         })
     }
+}
+
+/// The message a panic was raised with: `panic!` carries a `&str` for a
+/// literal and a `String` for a formatted message.
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
+    payload
+        .downcast_ref::<&str>()
+        .copied()
+        .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+        .unwrap_or("(no message)")
 }
 
 impl Default for SweepRunner {
@@ -857,26 +801,30 @@ mod tests {
         assert_eq!(SweepRunner::chunk_size(10_000, 2), 32);
     }
 
-    /// The queue override flips every scenario's event-queue backend; the
-    /// queue contract makes the results bit-identical either way.
-    #[test]
-    fn queue_override_is_bit_identical_across_backends() {
-        let plan = tiny_plan(3);
-        let runner = SweepRunner::new(2);
-        assert_eq!(runner.queue(), None);
-        let heap = runner.with_queue(QueueKind::Heap);
-        assert_eq!(heap.queue(), Some(QueueKind::Heap));
-        let a = heap.run(&plan).unwrap();
-        let b = runner.with_queue(QueueKind::Calendar).run(&plan).unwrap();
-        assert_eq!(fingerprint(&a), fingerprint(&b));
-    }
-
+    /// Workspace reuse is observationally a fresh construction: every
+    /// scenario of a two-worker sweep, each worker reusing one workspace,
+    /// matches the same scenario simulated by `Simulator::run` on a fresh
+    /// workspace.
     #[test]
     fn rebuild_results_match_reuse() {
         let plan = tiny_plan(4);
         let reuse = SweepRunner::new(2).run(&plan).unwrap();
-        let rebuild = SweepRunner::new(2).with_reuse(false).run(&plan).unwrap();
-        assert_eq!(fingerprint(&reuse), fingerprint(&rebuild));
+        for (result, scenario) in reuse.results().iter().zip(plan.scenarios()) {
+            let config = plan
+                .config()
+                .clone()
+                .with_selection(scenario.selection.unwrap());
+            let rebuild = Simulator::new(config)
+                .run(&scenario.workload, scenario.policy)
+                .unwrap();
+            assert_eq!(
+                (result.run.events_processed(), result.run.end_time()),
+                (rebuild.events_processed(), rebuild.end_time()),
+                "scenario {}",
+                scenario.id
+            );
+            assert_eq!(result.run.iterations(), rebuild.iterations());
+        }
     }
 
     #[test]
@@ -1034,18 +982,31 @@ mod tests {
         assert!(results.is_empty());
     }
 
-    /// The auto queue heuristic resolves per scenario and cannot change
-    /// results: a closed-loop plan under auto is bit-identical to the same
-    /// plan pinned to either backend.
+    /// A panic inside a scenario surfaces as that scenario's error, naming
+    /// its id, group, label and seed, and is reported the same way at every
+    /// worker count.
     #[test]
-    fn auto_queue_is_bit_identical_to_fixed_backends() {
-        let plan = tiny_plan(3);
-        let runner = SweepRunner::new(2);
-        let auto = runner.with_auto_queue();
-        assert_eq!(auto.queue(), None);
-        let a = auto.run(&plan).unwrap();
-        let heap = runner.with_queue(QueueKind::Heap).run(&plan).unwrap();
-        assert_eq!(fingerprint(&a), fingerprint(&heap));
+    fn panicking_scenario_is_reported_by_id_label_and_seed() {
+        let plan = lean_plan(12);
+        for jobs in [1, 2] {
+            let err = SweepRunner::new(jobs)
+                .run_fold(&plan, &|scenario, run| {
+                    if scenario.id == 5 {
+                        panic!("fold failed on {}", scenario.label);
+                    }
+                    Ok(run.events_processed())
+                })
+                .unwrap_err();
+            let seed = plan.config().seed;
+            assert_eq!(
+                err.to_string(),
+                format!(
+                    "internal simulator error: scenario 5 (test / s5, seed {seed}) \
+                     panicked: fold failed on s5"
+                ),
+                "jobs={jobs}"
+            );
+        }
     }
 
     /// Core pinning is a pure performance hint: pinned workers produce

@@ -7,7 +7,8 @@
 //! tables, event-queue heap, drain scratch); every later scenario resets
 //! those structures in place and only allocates what genuinely belongs to
 //! its result (the run body's record vectors). The test pins both the
-//! absolute steady-state bound and the contrast against rebuild mode.
+//! absolute steady-state bound and the contrast against building a fresh
+//! workspace per scenario.
 //!
 //! One test per file: the counting global allocator is process-wide. Unlike
 //! `alloc_per_event.rs` (which hand-rolls a process-global counter), this
@@ -15,7 +16,7 @@
 //! per-scenario `allocs` accounting is exercised end to end.
 
 use gpreempt::sweep::{Scenario, SweepPlan, SweepRunner};
-use gpreempt::{PolicyKind, SimulatorConfig};
+use gpreempt::{PolicyKind, SimWorkspace, Simulator, SimulatorConfig};
 use gpreempt_trace::{parboil, ProcessSpec, Workload};
 use gpreempt_types::GpuConfig;
 
@@ -46,10 +47,10 @@ fn plan(scenarios: usize, min_completions: u32) -> SweepPlan {
     plan
 }
 
-/// Per-scenario allocation counts of a sequential streaming run.
-fn allocs_per_scenario(plan: &SweepPlan, reuse: bool) -> Vec<u64> {
+/// Per-scenario allocation counts of a sequential streaming run, whose
+/// worker reuses one workspace for the whole stream.
+fn allocs_per_scenario(plan: &SweepPlan) -> Vec<u64> {
     SweepRunner::sequential()
-        .with_reuse(reuse)
         .run_fold(plan, &|_, run| Ok(run.events_processed()))
         .unwrap()
         .outcomes()
@@ -58,14 +59,35 @@ fn allocs_per_scenario(plan: &SweepPlan, reuse: bool) -> Vec<u64> {
         .collect()
 }
 
+/// Per-scenario allocation counts when every scenario runs on a fresh
+/// workspace, which builds the host model, engine tables and queue anew.
+fn allocs_per_rebuilt_scenario(plan: &SweepPlan) -> Vec<u64> {
+    let sim = Simulator::new(plan.config().clone());
+    plan.scenarios()
+        .iter()
+        .map(|scenario| {
+            let before = gpreempt_sim::thread_allocations();
+            let run = sim
+                .run_with(
+                    &mut SimWorkspace::new(),
+                    &scenario.workload,
+                    scenario.policy,
+                )
+                .unwrap();
+            std::hint::black_box(run.events_processed());
+            gpreempt_sim::thread_allocations() - before
+        })
+        .collect()
+}
+
 #[test]
 fn steady_state_scenarios_allocate_a_small_constant() {
     // Warm lazy statics (benchmark tables) so scenario 0 is not charged for
     // them.
-    let _ = allocs_per_scenario(&plan(1, 1), true);
+    let _ = allocs_per_scenario(&plan(1, 1));
 
-    let reuse = allocs_per_scenario(&plan(6, 2), true);
-    let rebuild = allocs_per_scenario(&plan(6, 2), false);
+    let reuse = allocs_per_scenario(&plan(6, 2));
+    let rebuild = allocs_per_rebuilt_scenario(&plan(6, 2));
 
     // Scenario 0 builds the arena; every later scenario reuses it. The
     // steady-state count covers only per-run record vectors and folding —
@@ -79,7 +101,7 @@ fn steady_state_scenarios_allocate_a_small_constant() {
         );
     }
 
-    // Rebuild mode re-creates host model, engine tables and queue per
+    // A fresh workspace re-creates host model, engine tables and queue per
     // scenario; reuse must undercut it by a wide factor.
     let steady_mean = steady.iter().sum::<u64>() / steady.len() as u64;
     let rebuild_mean = rebuild[2..].iter().sum::<u64>() / rebuild[2..].len() as u64;
@@ -92,7 +114,7 @@ fn steady_state_scenarios_allocate_a_small_constant() {
     // The bound is O(1) in simulated work too: quintupling the replay
     // target must not proportionally scale steady-state allocations (vector
     // growth amortises to a handful of doublings).
-    let longer = allocs_per_scenario(&plan(6, 10), true);
+    let longer = allocs_per_scenario(&plan(6, 10));
     let longer_mean = longer[2..].iter().sum::<u64>() / longer[2..].len() as u64;
     assert!(
         longer_mean < steady_mean.max(1) * 3,

@@ -20,7 +20,7 @@ use crate::framework::{
 };
 use crate::launch::{KernelCompletion, KernelLaunch};
 use crate::preempt::{ContextSwitchCost, MechanismSelection, PreemptionMechanism};
-use gpreempt_sim::{QueueKind, SimRng};
+use gpreempt_sim::SimRng;
 use gpreempt_types::{GpuConfig, KernelLaunchId, PreemptionConfig, SimTime, SmId, ThreadBlockId};
 use std::collections::VecDeque;
 
@@ -44,11 +44,6 @@ pub struct EngineParams {
     /// carries an [`RtLaunch`](crate::launch::RtLaunch) annotation produce
     /// deadline events; legacy workloads schedule none.
     pub deadline_margin: SimTime,
-    /// Backend of the simulation event queue. Every kind delivers events in
-    /// the identical (time, insertion-seq) order, so this can never change
-    /// simulation results — only how fast they arrive. Defaults to the
-    /// calendar queue; the heap survives as the benchmark baseline.
-    pub queue: QueueKind,
 }
 
 impl Default for EngineParams {
@@ -58,7 +53,6 @@ impl Default for EngineParams {
             block_time_jitter: 0.05,
             quantum: None,
             deadline_margin: SimTime::from_micros(50),
-            queue: QueueKind::default(),
         }
     }
 }

@@ -34,6 +34,6 @@ pub mod stats;
 
 pub use affinity::pin_current_thread;
 pub use alloc_count::{thread_allocations, CountingAlloc};
-pub use queue::{EventQueue, QueueKind};
+pub use queue::EventQueue;
 pub use rng::SimRng;
 pub use stats::Summary;

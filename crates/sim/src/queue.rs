@@ -1,51 +1,17 @@
-//! The event queue at the heart of the discrete-event simulator.
-//!
-//! Two interchangeable backends sit behind one [`EventQueue`] API:
-//!
-//! * a binary **heap** — O(log n) `schedule`/`pop`, the historical baseline,
-//! * a bucketed **calendar queue** — amortized O(1) for the near-future,
-//!   clustered timestamp distributions the simulator actually produces
-//!   (block completions a few microseconds out, quantum/deadline ticks).
-//!
-//! Both deliver events in exactly the same (time, insertion-sequence) order,
-//! so swapping backends can never change simulation output — only wall
-//! clock. [`QueueKind`] selects the backend; the calendar is the default and
-//! the heap survives as the benchmark baseline.
+//! The event queue at the heart of the discrete-event simulator: a binary
+//! heap over a packed `(time, insertion-seq)` key, so events sharing a
+//! timestamp are delivered in the order they were scheduled.
 
 use gpreempt_types::SimTime;
 use std::cmp::Ordering;
+use std::collections::binary_heap::PeekMut;
 use std::collections::BinaryHeap;
 use std::fmt;
-
-/// Which backend an [`EventQueue`] uses. Delivery order is identical for
-/// every kind; they differ only in asymptotic cost per operation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum QueueKind {
-    /// Binary-heap backend: O(log n) schedule/pop on a packed `u128` key.
-    Heap,
-    /// Calendar-queue backend: power-of-two bucket widths, lazy overflow
-    /// spill and load-factor-driven resize — amortized O(1) schedule/pop
-    /// for clustered event streams.
-    #[default]
-    Calendar,
-}
-
-impl QueueKind {
-    /// Short label used in benchmark reports.
-    pub const fn label(self) -> &'static str {
-        match self {
-            QueueKind::Heap => "heap",
-            QueueKind::Calendar => "calendar",
-        }
-    }
-}
 
 /// One scheduled entry: ordering key and payload. The key packs the
 /// timestamp (high 64 bits) over the insertion sequence number (low 64
 /// bits), so ordering comparisons are a single `u128` compare while
 /// preserving exactly the (time, insertion-order) delivery discipline.
-/// The calendar backend buckets entries by timestamp but breaks ties with
-/// the very same key, which is what keeps the two backends byte-identical.
 struct Entry<E> {
     key: u128,
     event: E,
@@ -82,603 +48,11 @@ impl<E> Ord for Entry<E> {
     }
 }
 
-/// Sentinel "null" index in the calendar's intrusive lists.
-const NIL: u32 = u32::MAX;
-
-/// Extracts the timestamp from a packed ordering key.
-fn key_time(key: u128) -> u64 {
-    (key >> 64) as u64
-}
-
-/// The calendar-queue backend: a wheel of `nb` buckets, each one bucket
-/// *width* (a power of two, `1 << shift` nanoseconds) of simulated time
-/// wide, covering the horizon `[base_day, base_day + nb)` in bucket-width
-/// "days". An event lands in bucket `day & (nb - 1)`; because the horizon
-/// is exactly `nb` days, a bucket holds entries of at most one day at a
-/// time, so the earliest nonempty bucket at or after the cursor always
-/// contains the global minimum. Events beyond the horizon wait in an
-/// unsorted overflow list and are spilled into the wheel lazily, when the
-/// wheel drains past them or a resize rebuilds it.
-///
-/// Buckets and overflow are intrusive index lists through one node slab,
-/// not per-bucket `Vec`s: allocation depends only on the **total** pending
-/// population, never on how timestamps distribute over buckets, so the
-/// steady-state zero-allocation guarantee of the heap backend carries over
-/// unchanged.
-///
-/// Bucket chains are kept **sorted by key** (ascending), with a tail
-/// pointer per bucket. The bucket minimum is therefore its head — pop is
-/// O(1) once the cursor finds a nonempty bucket — and the dominant insert
-/// patterns are O(1) too: same-timestamp cohorts carry strictly increasing
-/// sequence numbers, so each new member is the bucket maximum and lands on
-/// the tail without a walk. Only an insert that genuinely interleaves an
-/// existing chain pays a scan, and the load-factor resize keeps chains a
-/// couple of entries long in the uniform case.
-struct Calendar<E> {
-    /// Ordering keys of the node slab. Kept separate from the payloads —
-    /// chain walks and bucket probes touch only keys and links, so the hot
-    /// data stays dense in cache no matter how large the event type is.
-    keys: Vec<u128>,
-    /// Intrusive `next` links of the node slab (`NIL`-terminated chains).
-    links: Vec<u32>,
-    /// Payload slots of the node slab (`None` while on the free list).
-    events: Vec<Option<E>>,
-    /// Head of the free-slot list (slots whose `event` is `None`).
-    free_head: u32,
-    /// Per-bucket sorted-chain heads. Physical length grows monotonically;
-    /// only the first `nb` entries are logically active, so shrinking the
-    /// wheel keeps the allocation warm for the next growth.
-    heads: Vec<u32>,
-    /// Per-bucket sorted-chain tails (`NIL` iff the bucket is empty).
-    tails: Vec<u32>,
-    /// Logical bucket count (power of two, `<= heads.len()`).
-    nb: usize,
-    /// log2 of the bucket width in nanoseconds.
-    shift: u32,
-    /// First day the wheel covers.
-    base_day: u64,
-    /// Lowest day that may still hold pending entries (scan floor).
-    cursor_day: u64,
-    /// Head of the beyond-horizon overflow list (unsorted).
-    overflow_head: u32,
-    /// Total pending entries (wheel + overflow).
-    len: usize,
-    /// Reusable node-index scratch for resize rebuilds.
-    spill: Vec<u32>,
-    /// Chain-walk steps accumulated since the last wheel rebuild — the
-    /// bad-geometry detector feeding the walk-triggered resize in
-    /// [`Calendar::insert`].
-    walked: u64,
-}
-
-/// Smallest wheel: covers tiny queues without resizing.
-const MIN_BUCKETS: usize = 16;
-/// Largest wheel: bounds the worst-case empty-bucket scan.
-const MAX_BUCKETS: usize = 1 << 16;
-/// Initial bucket width: `1 << 12` ns ≈ 4.1 µs, the scale of thread-block
-/// completions in the trace suite. Resizes re-derive it from the live
-/// distribution.
-const DEFAULT_SHIFT: u32 = 12;
-/// Empty-bucket walk length that marks a pop as "long" and arms the
-/// scan-triggered shrink in [`Calendar::pop`].
-const LONG_SCAN: u64 = 64;
-
-impl<E> Calendar<E> {
-    fn new(capacity: usize) -> Self {
-        Calendar {
-            keys: Vec::with_capacity(capacity),
-            links: Vec::with_capacity(capacity),
-            events: Vec::with_capacity(capacity),
-            free_head: NIL,
-            heads: vec![NIL; MIN_BUCKETS],
-            tails: vec![NIL; MIN_BUCKETS],
-            nb: MIN_BUCKETS,
-            shift: DEFAULT_SHIFT,
-            base_day: 0,
-            cursor_day: 0,
-            overflow_head: NIL,
-            len: 0,
-            spill: Vec::new(),
-            walked: 0,
-        }
-    }
-
-    fn mask(&self) -> u64 {
-        self.nb as u64 - 1
-    }
-
-    fn day_of(&self, nanos: u64) -> u64 {
-        nanos >> self.shift
-    }
-
-    /// Upper horizon day (exclusive) of the wheel.
-    fn horizon(&self) -> u64 {
-        self.base_day.saturating_add(self.nb as u64)
-    }
-
-    fn capacity(&self) -> usize {
-        self.events.capacity()
-    }
-
-    fn reserve(&mut self, total: usize) {
-        // Free-listed slots are reused before the slab grows, so the spare
-        // capacity is everything the live population does not occupy.
-        let spare = self.events.capacity() - self.len;
-        if total > spare {
-            self.keys.reserve(total - spare);
-            self.links.reserve(total - spare);
-            self.events.reserve(total - spare);
-        }
-    }
-
-    /// Clears all entries, keeping every allocation and the adapted
-    /// geometry (wheel size and bucket width) for the next run.
-    fn clear(&mut self) {
-        self.walked = 0;
-        self.keys.clear();
-        self.links.clear();
-        self.events.clear();
-        self.free_head = NIL;
-        self.heads.fill(NIL);
-        self.tails.fill(NIL);
-        self.overflow_head = NIL;
-        self.len = 0;
-        self.base_day = 0;
-        self.cursor_day = 0;
-    }
-
-    /// Takes a slot from the free list (or grows the slab) and fills it.
-    fn alloc_node(&mut self, key: u128, event: E, next: u32) -> u32 {
-        if self.free_head != NIL {
-            let i = self.free_head;
-            self.free_head = self.links[i as usize];
-            self.keys[i as usize] = key;
-            self.links[i as usize] = next;
-            self.events[i as usize] = Some(event);
-            i
-        } else {
-            self.keys.push(key);
-            self.links.push(next);
-            self.events.push(Some(event));
-            (self.events.len() - 1) as u32
-        }
-    }
-
-    /// Extracts a node's entry and returns its slot to the free list. The
-    /// caller must already have unlinked it from its bucket/overflow chain.
-    fn take_node(&mut self, i: u32) -> Entry<E> {
-        let key = self.keys[i as usize];
-        let event = self.events[i as usize]
-            .take()
-            .expect("live node has a payload");
-        self.links[i as usize] = self.free_head;
-        self.free_head = i;
-        Entry { key, event }
-    }
-
-    /// Inserts an entry. `floor_nanos` is the queue clock: no entry at an
-    /// earlier time can ever be inserted afterwards (the [`EventQueue`]
-    /// clamps), so it is the safe anchor for wheel rebases — using the
-    /// entry's own (possibly far-future) day instead would strand later
-    /// near-future inserts behind the wheel base.
-    fn insert(&mut self, entry: Entry<E>, floor_nanos: u64) {
-        // Load-factor drift upward: once buckets average more than two
-        // entries each, rebuild the wheel sized to the population in one
-        // jump (not a doubling — bursty arrivals would pay a rebuild per
-        // doubling on every ramp).
-        if self.len > self.nb * 2 && self.nb < MAX_BUCKETS {
-            self.resize(self.len.next_power_of_two(), floor_nanos);
-        }
-        if self.len == 0 {
-            // Empty wheel: re-anchor at the clock so sparse schedule/pop
-            // cycles never scan stale bucket ranges.
-            let floor_day = self.day_of(floor_nanos);
-            self.base_day = floor_day;
-            self.cursor_day = floor_day;
-        }
-        let day = self.day_of(entry.time_nanos());
-        debug_assert!(
-            day >= self.base_day,
-            "entry scheduled behind the wheel base"
-        );
-        if day < self.horizon() {
-            let b = (day & self.mask()) as usize;
-            let i = self.alloc_node(entry.key, entry.event, NIL);
-            self.link_sorted(b, i);
-            // Bad-geometry escape hatch: a wheel whose width is far too
-            // coarse for the live distribution (e.g. inherited from a
-            // previous run via `clear`, or derived while a different
-            // event mix was pending) crams everything into a few buckets
-            // and makes every insert walk an O(len) chain — and nothing
-            // else would ever correct it, because a population that fits
-            // the horizon triggers neither rebase nor growth. Once the
-            // accumulated walk work since the last rebuild exceeds a few
-            // multiples of the population, rebuild and re-derive the
-            // width: the rebuild is amortized against the walk steps it
-            // eliminates, so even a pathological distribution that
-            // re-derives the same width pays bounded overhead.
-            if self.walked > (16 * self.len as u64).max(256) {
-                self.resize(self.len.next_power_of_two(), floor_nanos);
-            }
-        } else {
-            // Lazy spill: far-future entries wait unsorted until the wheel
-            // drains up to them (or a resize re-buckets everything).
-            let i = self.alloc_node(entry.key, entry.event, self.overflow_head);
-            self.overflow_head = i;
-        }
-        self.len += 1;
-    }
-
-    /// The earliest logically-active nonempty bucket at or after the
-    /// cursor; it holds the wheel's (and, since overflow days all lie
-    /// beyond the horizon, the queue's) minimum key.
-    fn find_wheel_bucket(&self) -> Option<usize> {
-        let mask = self.mask();
-        let horizon = self.horizon();
-        let mut day = self.cursor_day;
-        while day < horizon {
-            let b = (day & mask) as usize;
-            if self.heads[b] != NIL {
-                return Some(b);
-            }
-            day += 1;
-        }
-        None
-    }
-
-    /// Links node `i` into bucket `b`, keeping the chain sorted by key.
-    /// The hot cases are O(1): an empty bucket, and a key at or above the
-    /// bucket maximum (every same-timestamp cohort member, since sequence
-    /// numbers only grow) appends at the tail. Only a genuine interleave
-    /// walks the chain.
-    fn link_sorted(&mut self, b: usize, i: u32) {
-        let key = self.keys[i as usize];
-        let head = self.heads[b];
-        if head == NIL {
-            self.links[i as usize] = NIL;
-            self.heads[b] = i;
-            self.tails[b] = i;
-            return;
-        }
-        let tail = self.tails[b];
-        if key >= self.keys[tail as usize] {
-            self.links[i as usize] = NIL;
-            self.links[tail as usize] = i;
-            self.tails[b] = i;
-            return;
-        }
-        if key < self.keys[head as usize] {
-            self.links[i as usize] = head;
-            self.heads[b] = i;
-            return;
-        }
-        let mut prev = head;
-        loop {
-            self.walked += 1;
-            let next = self.links[prev as usize];
-            if next == NIL || self.keys[next as usize] > key {
-                self.links[i as usize] = next;
-                self.links[prev as usize] = i;
-                return;
-            }
-            prev = next;
-        }
-    }
-
-    /// Unlinks and returns the head of bucket `b` — its minimum, since
-    /// chains are sorted. The bucket must be nonempty.
-    fn pop_head(&mut self, b: usize) -> Entry<E> {
-        let head = self.heads[b];
-        debug_assert!(head != NIL, "pop_head on an empty bucket");
-        let next = self.links[head as usize];
-        self.heads[b] = next;
-        if next == NIL {
-            self.tails[b] = NIL;
-        }
-        self.len -= 1;
-        self.take_node(head)
-    }
-
-    /// Rotates the wheel forward onto the earliest overflow entry and
-    /// spills every overflow entry inside the new horizon into buckets.
-    ///
-    /// The bucket width is re-derived from the overflow span first: the
-    /// wheel only exhausts into a nonempty overflow when the whole pending
-    /// population lies beyond the horizon, which means the current width is
-    /// too fine for the event spacing (the simulator's spacing is workload
-    /// dependent and can be orders of magnitude coarser than the initial
-    /// width). Without the re-derivation every pop would walk the entire
-    /// overflow list — the calendar would degenerate into an O(len) linked
-    /// list. Anchoring at the overflow *minimum* (not the clock) keeps
-    /// progress guaranteed — the minimum lands in the cursor bucket and is
-    /// popped before control returns to the caller, which also restores the
-    /// `base_day ≤ day(clock)` invariant before any insert can observe it.
-    fn rebase(&mut self) {
-        debug_assert!(self.overflow_head != NIL, "rebase needs overflow entries");
-        // The wheel is empty here, so the overflow is the whole pending
-        // population. Pull it into the scratch, sort it, re-derive the
-        // width from the sorted distribution, and relink in ascending
-        // order — each in-horizon link is then a tail append, so the spill
-        // costs O(k log k) instead of O(k · chain). Anchoring at the
-        // overflow *minimum* (not the clock) keeps progress guaranteed —
-        // the minimum lands in the cursor bucket and is popped before
-        // control returns to the caller, which also restores the
-        // `base_day ≤ day(clock)` invariant before any insert can observe
-        // it.
-        self.spill.clear();
-        let mut i = self.overflow_head;
-        while i != NIL {
-            self.spill.push(i);
-            i = self.links[i as usize];
-        }
-        self.overflow_head = NIL;
-        let keys = &self.keys;
-        self.spill.sort_unstable_by_key(|&i| keys[i as usize]);
-        self.derive_shift();
-        let min_day = key_time(self.keys[self.spill[0] as usize]) >> self.shift;
-        self.base_day = min_day;
-        self.cursor_day = min_day;
-        let horizon = self.horizon();
-        let mask = self.mask();
-        for k in 0..self.spill.len() {
-            let i = self.spill[k];
-            let day = key_time(self.keys[i as usize]) >> self.shift;
-            if day < horizon {
-                let b = (day & mask) as usize;
-                self.link_sorted(b, i);
-            } else {
-                self.links[i as usize] = self.overflow_head;
-                self.overflow_head = i;
-            }
-        }
-        self.spill.clear();
-    }
-
-    /// Re-derives the bucket width from the *sorted* pending population in
-    /// `spill` (width ≈ span / buckets, rounded up to a power of two,
-    /// clamped to ~4.3 s). The span is taken over the lower three quarters
-    /// of the population, not min-to-max: open-arrival workloads keep a few
-    /// far-future release timers pending alongside a dense cluster of
-    /// near-term engine events, and a full-span width crams that cluster
-    /// into one or two buckets — every insert then walks an O(population)
-    /// chain. The trimmed span spreads the dense mass at roughly one event
-    /// per bucket; the outliers just stay in overflow until the wheel
-    /// drains up to them.
-    fn derive_shift(&mut self) {
-        let n = self.spill.len();
-        if n < 2 {
-            return;
-        }
-        let time_at = |k: usize| key_time(self.keys[self.spill[k] as usize]);
-        // The span is taken over the lower three quarters of the
-        // population, not min-to-max: open-arrival workloads keep a few
-        // far-future release timers pending alongside a dense cluster of
-        // near-term engine events, and a full-span width would cram that
-        // cluster into one or two buckets — every insert then walks an
-        // O(population) chain. The trimmed span spreads the dense mass
-        // finely; the outliers just stay in overflow until the wheel
-        // drains up to them. The 8x widening stretches the horizon past
-        // the insert stream's lookahead (events land a fixed distance
-        // ahead of a moving cursor, so the pending span understates the
-        // range the wheel must cover), trading slightly longer chains for
-        // far fewer overflow round-trips.
-        let span = time_at((n * 3 / 4).min(n - 1)) - time_at(0);
-        let ideal = (span / self.nb as u64).max(1);
-        self.shift = (64 - ideal.leading_zeros() + 3).min(32);
-        self.walked = 0;
-    }
-
-    fn pop(&mut self, floor_nanos: u64) -> Option<Entry<E>> {
-        if self.len == 0 {
-            return None;
-        }
-        loop {
-            if let Some(b) = self.find_wheel_bucket() {
-                let entry = self.pop_head(b);
-                let prev_day = self.cursor_day;
-                self.cursor_day = self.day_of(entry.time_nanos());
-                // Scan-triggered shrink: downsizing costs an O(len) rebuild,
-                // so it only fires when a pop actually paid for it — a long
-                // walk over empty buckets with the population far below the
-                // wheel size (the sparse tail after a burst). Bursty
-                // populations that merely oscillate never trigger it.
-                if self.cursor_day - prev_day >= LONG_SCAN
-                    && self.nb > MIN_BUCKETS
-                    && self.len < self.nb / 16
-                {
-                    self.resize(self.len.next_power_of_two(), floor_nanos);
-                }
-                return Some(entry);
-            }
-            // Wheel exhausted but entries pending: they are all overflow.
-            self.rebase();
-        }
-    }
-
-    /// Pops the minimum entry only if its timestamp equals `nanos` — the
-    /// same-timestamp batch fast path. All entries sharing the timestamp of
-    /// the last pop live in the cursor bucket, so this never rescans the
-    /// wheel.
-    fn pop_if_at(&mut self, nanos: u64) -> Option<Entry<E>> {
-        if self.len == 0 || self.cursor_day != self.day_of(nanos) {
-            return None;
-        }
-        let b = (self.cursor_day & self.mask()) as usize;
-        let head = self.heads[b];
-        // The cursor bucket holds the earliest pending day and its head is
-        // its minimum; a later timestamp means the batch is done.
-        if head == NIL || key_time(self.keys[head as usize]) != nanos {
-            return None;
-        }
-        Some(self.pop_head(b))
-    }
-
-    fn peek_min_key(&self) -> Option<u128> {
-        if self.len == 0 {
-            return None;
-        }
-        if let Some(b) = self.find_wheel_bucket() {
-            return Some(self.keys[self.heads[b] as usize]);
-        }
-        let mut best = u128::MAX;
-        let mut i = self.overflow_head;
-        while i != NIL {
-            best = best.min(self.keys[i as usize]);
-            i = self.links[i as usize];
-        }
-        Some(best)
-    }
-
-    /// Rebuilds the wheel at `new_nb` buckets, re-deriving the bucket width
-    /// from the live timestamp span so the horizon covers it.
-    /// The wheel is re-anchored at `floor_nanos` (the queue clock), the
-    /// lower bound of every entry that can ever be inserted afterwards.
-    /// Only node indices move — entries stay in their slab slots.
-    fn resize(&mut self, new_nb: usize, floor_nanos: u64) {
-        let new_nb = new_nb.clamp(MIN_BUCKETS, MAX_BUCKETS);
-        // Collect every live node index through the reusable scratch.
-        self.spill.clear();
-        self.spill.reserve(self.len);
-        for b in 0..self.nb {
-            let mut i = self.heads[b];
-            while i != NIL {
-                self.spill.push(i);
-                i = self.links[i as usize];
-            }
-            self.heads[b] = NIL;
-            self.tails[b] = NIL;
-        }
-        let mut i = self.overflow_head;
-        while i != NIL {
-            self.spill.push(i);
-            i = self.links[i as usize];
-        }
-        self.overflow_head = NIL;
-        if self.heads.len() < new_nb {
-            self.heads.resize(new_nb, NIL);
-            self.tails.resize(new_nb, NIL);
-        }
-        self.nb = new_nb;
-        // Ascending-key relink: with the spill sorted, every in-horizon
-        // link is a tail append. Sorting first also feeds the
-        // outlier-trimmed width derivation.
-        let keys = &self.keys;
-        self.spill.sort_unstable_by_key(|&i| keys[i as usize]);
-        self.derive_shift();
-        self.base_day = self.day_of(floor_nanos);
-        self.cursor_day = self.base_day;
-        let horizon = self.horizon();
-        let mask = self.mask();
-        for k in 0..self.spill.len() {
-            let i = self.spill[k];
-            let day = key_time(self.keys[i as usize]) >> self.shift;
-            if day < horizon {
-                let b = (day & mask) as usize;
-                self.link_sorted(b, i);
-            } else {
-                self.links[i as usize] = self.overflow_head;
-                self.overflow_head = i;
-            }
-        }
-        self.spill.clear();
-    }
-}
-
-/// The backend storage of an [`EventQueue`].
-enum Backend<E> {
-    Heap(BinaryHeap<Entry<E>>),
-    Calendar(Calendar<E>),
-}
-
-impl<E> Backend<E> {
-    fn new(kind: QueueKind, capacity: usize) -> Self {
-        match kind {
-            QueueKind::Heap => Backend::Heap(BinaryHeap::with_capacity(capacity)),
-            QueueKind::Calendar => Backend::Calendar(Calendar::new(capacity)),
-        }
-    }
-
-    fn kind(&self) -> QueueKind {
-        match self {
-            Backend::Heap(_) => QueueKind::Heap,
-            Backend::Calendar(_) => QueueKind::Calendar,
-        }
-    }
-
-    fn len(&self) -> usize {
-        match self {
-            Backend::Heap(h) => h.len(),
-            Backend::Calendar(c) => c.len,
-        }
-    }
-
-    fn push(&mut self, entry: Entry<E>, floor_nanos: u64) {
-        match self {
-            Backend::Heap(h) => h.push(entry),
-            Backend::Calendar(c) => c.insert(entry, floor_nanos),
-        }
-    }
-
-    fn pop(&mut self, floor_nanos: u64) -> Option<Entry<E>> {
-        match self {
-            Backend::Heap(h) => h.pop(),
-            Backend::Calendar(c) => c.pop(floor_nanos),
-        }
-    }
-
-    fn pop_if_at(&mut self, nanos: u64) -> Option<Entry<E>> {
-        match self {
-            Backend::Heap(h) => {
-                if h.peek().map(Entry::time_nanos) == Some(nanos) {
-                    h.pop()
-                } else {
-                    None
-                }
-            }
-            Backend::Calendar(c) => c.pop_if_at(nanos),
-        }
-    }
-
-    fn peek_min_key(&self) -> Option<u128> {
-        match self {
-            Backend::Heap(h) => h.peek().map(|e| e.key),
-            Backend::Calendar(c) => c.peek_min_key(),
-        }
-    }
-
-    fn clear(&mut self) {
-        match self {
-            Backend::Heap(h) => h.clear(),
-            Backend::Calendar(c) => c.clear(),
-        }
-    }
-
-    fn capacity(&self) -> usize {
-        match self {
-            Backend::Heap(h) => h.capacity(),
-            Backend::Calendar(c) => c.capacity(),
-        }
-    }
-
-    fn reserve(&mut self, total: usize) {
-        match self {
-            Backend::Heap(h) => {
-                let have = h.capacity() - h.len();
-                if total > have {
-                    h.reserve(total - have);
-                }
-            }
-            Backend::Calendar(c) => c.reserve(total),
-        }
-    }
-}
-
 /// A deterministic time-ordered event queue.
 ///
 /// Events scheduled for the same timestamp are delivered in insertion order,
 /// which keeps whole-simulation results reproducible regardless of how the
-/// components interleave their scheduling calls — and regardless of the
-/// [`QueueKind`] backend in use.
+/// components interleave their scheduling calls.
 ///
 /// # Example
 ///
@@ -694,7 +68,7 @@ impl<E> Backend<E> {
 /// assert_eq!(order, vec!['a', 'b', 'c']);
 /// ```
 pub struct EventQueue<E> {
-    backend: Backend<E>,
+    heap: BinaryHeap<Entry<E>>,
     next_seq: u64,
     now: SimTime,
     processed: u64,
@@ -702,15 +76,9 @@ pub struct EventQueue<E> {
 }
 
 impl<E> EventQueue<E> {
-    /// Creates an empty queue with the clock at zero, using the default
-    /// backend ([`QueueKind::Calendar`]).
+    /// Creates an empty queue with the clock at zero.
     pub fn new() -> Self {
-        Self::with_kind(QueueKind::default())
-    }
-
-    /// Creates an empty queue with the given backend.
-    pub fn with_kind(kind: QueueKind) -> Self {
-        Self::with_kind_and_capacity(kind, 0)
+        Self::with_capacity(0)
     }
 
     /// Creates an empty queue whose backing storage can hold about
@@ -718,13 +86,8 @@ impl<E> EventQueue<E> {
     /// lower bound on their concurrency pre-size the queue so steady-state
     /// scheduling never grows the backing storage.
     pub fn with_capacity(capacity: usize) -> Self {
-        Self::with_kind_and_capacity(QueueKind::default(), capacity)
-    }
-
-    /// [`with_capacity`](Self::with_capacity) with an explicit backend.
-    pub fn with_kind_and_capacity(kind: QueueKind, capacity: usize) -> Self {
         EventQueue {
-            backend: Backend::new(kind, capacity),
+            heap: BinaryHeap::with_capacity(capacity),
             next_seq: 0,
             now: SimTime::ZERO,
             processed: 0,
@@ -732,16 +95,10 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// The backend in use.
-    pub fn kind(&self) -> QueueKind {
-        self.backend.kind()
-    }
-
-    /// Spare capacity of the backing storage (useful for allocation tests).
-    /// For the calendar backend this is the total entry capacity across
-    /// buckets and overflow.
+    /// Total capacity of the backing storage, in events (useful for
+    /// allocation tests).
     pub fn capacity(&self) -> usize {
-        self.backend.capacity()
+        self.heap.capacity()
     }
 
     /// Grows the backing storage to hold at least `total` pending events.
@@ -749,30 +106,21 @@ impl<E> EventQueue<E> {
     /// pre-sizing a fresh [`with_capacity`](Self::with_capacity) queue
     /// would have; a no-op once the storage has plateaued.
     pub fn reserve(&mut self, total: usize) {
-        self.backend.reserve(total);
+        // `BinaryHeap::reserve` counts the extra room from the current
+        // length, not from the current capacity.
+        self.heap.reserve(total.saturating_sub(self.heap.len()));
     }
 
     /// Clears all pending events and rewinds the clock, sequence counter
     /// and processed/clamped counts to a fresh state while **keeping the
     /// backing allocation**. Harness-internal reruns reset-and-reuse one
-    /// queue instead of re-growing an empty, capacity-zero backend.
+    /// queue instead of re-growing an empty, capacity-zero heap.
     pub fn reset(&mut self) {
-        self.backend.clear();
+        self.heap.clear();
         self.next_seq = 0;
         self.now = SimTime::ZERO;
         self.processed = 0;
         self.clamped = 0;
-    }
-
-    /// [`reset`](Self::reset), additionally switching the backend to
-    /// `kind`. When the kind already matches, this is exactly `reset` (the
-    /// warm allocation survives); switching kinds rebuilds the backing
-    /// storage, which only sweeps that alternate heap-vs-calendar legs pay.
-    pub fn reset_with(&mut self, kind: QueueKind) {
-        if self.backend.kind() != kind {
-            self.backend = Backend::new(kind, 0);
-        }
-        self.reset();
     }
 
     /// The current simulated time: the timestamp of the last popped event
@@ -797,12 +145,12 @@ impl<E> EventQueue<E> {
 
     /// Number of events still pending.
     pub fn len(&self) -> usize {
-        self.backend.len()
+        self.heap.len()
     }
 
     /// Whether no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.backend.len() == 0
+        self.heap.is_empty()
     }
 
     /// Schedules `event` at absolute time `time`.
@@ -821,7 +169,7 @@ impl<E> EventQueue<E> {
         let seq = self.next_seq;
         self.next_seq += 1;
         let key = (time.as_nanos() as u128) << 64 | seq as u128;
-        self.backend.push(Entry { key, event }, self.now.as_nanos());
+        self.heap.push(Entry { key, event });
     }
 
     /// Schedules `event` after a delay relative to the current time.
@@ -831,7 +179,7 @@ impl<E> EventQueue<E> {
 
     /// Pops the next event, advancing the clock to its timestamp.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let entry = self.backend.pop(self.now.as_nanos())?;
+        let entry = self.heap.pop()?;
         let time = entry.time();
         debug_assert!(time >= self.now, "event queue time went backwards");
         self.now = time;
@@ -854,23 +202,24 @@ impl<E> EventQueue<E> {
         let (time, first) = self.pop()?;
         out.push(first);
         let nanos = time.as_nanos();
-        while let Some(entry) = self.backend.pop_if_at(nanos) {
+        while let Some(top) = self.heap.peek_mut() {
+            if top.time_nanos() != nanos {
+                break;
+            }
             self.processed += 1;
-            out.push(entry.event);
+            out.push(PeekMut::pop(top).event);
         }
         Some(time)
     }
 
     /// Returns the timestamp of the next pending event without popping it.
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.backend
-            .peek_min_key()
-            .map(|key| SimTime::from_nanos((key >> 64) as u64))
+        self.heap.peek().map(Entry::time)
     }
 
     /// Removes all pending events, keeping the clock where it is.
     pub fn clear(&mut self) {
-        self.backend.clear();
+        self.heap.clear();
     }
 }
 
@@ -883,9 +232,8 @@ impl<E> Default for EventQueue<E> {
 impl<E> fmt::Debug for EventQueue<E> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("EventQueue")
-            .field("kind", &self.kind())
             .field("now", &self.now)
-            .field("pending", &self.backend.len())
+            .field("pending", &self.heap.len())
             .field("processed", &self.processed)
             .field("clamped", &self.clamped)
             .finish()
@@ -896,227 +244,142 @@ impl<E> fmt::Debug for EventQueue<E> {
 mod tests {
     use super::*;
 
-    const KINDS: [QueueKind; 2] = [QueueKind::Heap, QueueKind::Calendar];
-
     #[test]
     fn pops_in_time_order() {
-        for kind in KINDS {
-            let mut q = EventQueue::with_kind(kind);
-            q.schedule(SimTime::from_nanos(30), 3);
-            q.schedule(SimTime::from_nanos(10), 1);
-            q.schedule(SimTime::from_nanos(20), 2);
-            let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
-            assert_eq!(order, vec![1, 2, 3], "{kind:?}");
-        }
+        let mut q = EventQueue::new();
+        q.schedule(SimTime::from_nanos(30), 3);
+        q.schedule(SimTime::from_nanos(10), 1);
+        q.schedule(SimTime::from_nanos(20), 2);
+        let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
+        assert_eq!(order, vec![1, 2, 3]);
     }
 
     #[test]
     fn simultaneous_events_keep_insertion_order() {
-        for kind in KINDS {
-            let mut q = EventQueue::with_kind(kind);
-            for i in 0..100 {
-                q.schedule(SimTime::from_nanos(5), i);
-            }
-            let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
-            assert_eq!(order, (0..100).collect::<Vec<_>>(), "{kind:?}");
+        let mut q = EventQueue::new();
+        for i in 0..100 {
+            q.schedule(SimTime::from_nanos(5), i);
         }
+        let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
+        assert_eq!(order, (0..100).collect::<Vec<_>>());
     }
 
     #[test]
     fn clock_advances_and_counts() {
-        for kind in KINDS {
-            let mut q = EventQueue::with_kind(kind);
-            q.schedule(SimTime::from_nanos(7), ());
-            assert_eq!(q.now(), SimTime::ZERO);
-            assert_eq!(q.peek_time(), Some(SimTime::from_nanos(7)));
-            q.pop();
-            assert_eq!(q.now(), SimTime::from_nanos(7));
-            assert_eq!(q.processed(), 1);
-            assert!(q.pop().is_none());
-            // popping from an empty queue does not move the clock
-            assert_eq!(q.now(), SimTime::from_nanos(7));
-        }
+        let mut q = EventQueue::new();
+        q.schedule(SimTime::from_nanos(7), ());
+        assert_eq!(q.now(), SimTime::ZERO);
+        assert_eq!(q.peek_time(), Some(SimTime::from_nanos(7)));
+        q.pop();
+        assert_eq!(q.now(), SimTime::from_nanos(7));
+        assert_eq!(q.processed(), 1);
+        assert!(q.pop().is_none());
+        // popping from an empty queue does not move the clock
+        assert_eq!(q.now(), SimTime::from_nanos(7));
     }
 
     #[test]
     fn scheduling_in_the_past_is_clamped_and_counted() {
-        for kind in KINDS {
-            let mut q = EventQueue::with_kind(kind);
-            q.schedule(SimTime::from_nanos(100), "a");
-            q.pop();
-            assert_eq!(q.clamped(), 0);
-            q.schedule(SimTime::from_nanos(10), "late");
-            assert_eq!(q.clamped(), 1);
-            let (t, _) = q.pop().unwrap();
-            assert_eq!(t, SimTime::from_nanos(100));
-            // Scheduling exactly at `now` is a legal zero-delay event, not
-            // a clamp.
-            q.schedule(SimTime::from_nanos(100), "now");
-            assert_eq!(q.clamped(), 1);
-        }
+        let mut q = EventQueue::new();
+        q.schedule(SimTime::from_nanos(100), "a");
+        q.pop();
+        assert_eq!(q.clamped(), 0);
+        q.schedule(SimTime::from_nanos(10), "late");
+        assert_eq!(q.clamped(), 1);
+        let (t, _) = q.pop().unwrap();
+        assert_eq!(t, SimTime::from_nanos(100));
+        // Scheduling exactly at `now` is a legal zero-delay event, not
+        // a clamp.
+        q.schedule(SimTime::from_nanos(100), "now");
+        assert_eq!(q.clamped(), 1);
     }
 
     #[test]
     fn schedule_after_uses_current_time() {
-        for kind in KINDS {
-            let mut q = EventQueue::with_kind(kind);
-            q.schedule(SimTime::from_nanos(50), "first");
-            q.pop();
-            q.schedule_after(SimTime::from_nanos(10), "second");
-            let (t, _) = q.pop().unwrap();
-            assert_eq!(t, SimTime::from_nanos(60));
-        }
+        let mut q = EventQueue::new();
+        q.schedule(SimTime::from_nanos(50), "first");
+        q.pop();
+        q.schedule_after(SimTime::from_nanos(10), "second");
+        let (t, _) = q.pop().unwrap();
+        assert_eq!(t, SimTime::from_nanos(60));
     }
 
     #[test]
     fn clear_empties_queue() {
-        for kind in KINDS {
-            let mut q = EventQueue::with_kind(kind);
-            q.schedule(SimTime::from_nanos(1), 1);
-            q.schedule(SimTime::from_nanos(2), 2);
-            q.clear();
-            assert!(q.is_empty());
-            assert_eq!(q.len(), 0);
-        }
+        let mut q = EventQueue::new();
+        q.schedule(SimTime::from_nanos(1), 1);
+        q.schedule(SimTime::from_nanos(2), 2);
+        q.clear();
+        assert!(q.is_empty());
+        assert_eq!(q.len(), 0);
     }
 
     #[test]
     fn with_capacity_presizes_the_backend() {
-        for kind in KINDS {
-            let q: EventQueue<u32> = EventQueue::with_kind_and_capacity(kind, 64);
-            assert!(q.capacity() >= 64, "{kind:?}");
-            assert!(q.is_empty());
-            assert_eq!(q.now(), SimTime::ZERO);
-        }
-    }
-
-    #[test]
-    fn reset_rewinds_the_clock_and_keeps_the_allocation() {
-        for kind in KINDS {
-            let mut q = EventQueue::with_kind_and_capacity(kind, 32);
-            for i in 0..20u64 {
-                q.schedule(SimTime::from_nanos(100 + i), i);
-            }
-            q.pop();
-            let cap = q.capacity();
-            q.reset();
-            assert!(q.is_empty());
-            assert_eq!(q.now(), SimTime::ZERO);
-            assert_eq!(q.processed(), 0);
-            assert_eq!(q.clamped(), 0);
-            assert!(q.capacity() >= cap, "reset must keep the allocation");
-            // The reset queue behaves like a fresh one: earlier times are
-            // legal again and FIFO order restarts from sequence zero.
-            q.schedule(SimTime::from_nanos(5), 1);
-            q.schedule(SimTime::from_nanos(5), 2);
-            assert_eq!(q.pop(), Some((SimTime::from_nanos(5), 1)));
-            assert_eq!(q.pop(), Some((SimTime::from_nanos(5), 2)));
-        }
-    }
-
-    #[test]
-    fn reset_with_switches_backends() {
-        let mut q: EventQueue<u8> = EventQueue::with_kind(QueueKind::Heap);
-        assert_eq!(q.kind(), QueueKind::Heap);
-        q.schedule(SimTime::from_nanos(1), 1);
-        q.reset_with(QueueKind::Calendar);
-        assert_eq!(q.kind(), QueueKind::Calendar);
+        let q: EventQueue<u32> = EventQueue::with_capacity(64);
+        assert!(q.capacity() >= 64);
         assert!(q.is_empty());
-        q.schedule(SimTime::from_nanos(3), 3);
-        assert_eq!(q.pop(), Some((SimTime::from_nanos(3), 3)));
-        // Same-kind reset_with is a plain reset.
-        q.reset_with(QueueKind::Calendar);
-        assert_eq!(q.kind(), QueueKind::Calendar);
         assert_eq!(q.now(), SimTime::ZERO);
     }
 
     #[test]
+    fn reset_rewinds_the_clock_and_keeps_the_allocation() {
+        let mut q = EventQueue::with_capacity(32);
+        for i in 0..20u64 {
+            q.schedule(SimTime::from_nanos(100 + i), i);
+        }
+        q.pop();
+        let cap = q.capacity();
+        q.reset();
+        assert!(q.is_empty());
+        assert_eq!(q.now(), SimTime::ZERO);
+        assert_eq!(q.processed(), 0);
+        assert_eq!(q.clamped(), 0);
+        assert!(q.capacity() >= cap, "reset must keep the allocation");
+        // The reset queue behaves like a fresh one: earlier times are
+        // legal again and FIFO order restarts from sequence zero.
+        q.schedule(SimTime::from_nanos(5), 1);
+        q.schedule(SimTime::from_nanos(5), 2);
+        assert_eq!(q.pop(), Some((SimTime::from_nanos(5), 1)));
+        assert_eq!(q.pop(), Some((SimTime::from_nanos(5), 2)));
+    }
+
+    /// `reserve(total)` sizes the storage for `total` events in all, not for
+    /// `total` beyond the current capacity or length.
+    #[test]
+    fn reserve_grows_the_storage_to_the_requested_total() {
+        let mut q: EventQueue<u64> = EventQueue::with_capacity(100);
+        q.schedule(SimTime::from_nanos(1), 0);
+        q.reset();
+        let cap = q.capacity();
+        q.reserve(cap + 50);
+        assert!(q.capacity() >= cap + 50, "empty queue: {}", q.capacity());
+        // With events pending, the total still counts them.
+        for i in 0..10 {
+            q.schedule(SimTime::from_nanos(i), i);
+        }
+        let total = 2 * q.capacity();
+        q.reserve(total);
+        assert!(q.capacity() >= total, "pending queue: {}", q.capacity());
+        // Asking for less than is already there keeps the allocation.
+        let cap = q.capacity();
+        q.reserve(1);
+        assert_eq!(q.capacity(), cap);
+    }
+
+    #[test]
     fn pop_batch_collects_the_same_timestamp_cohort() {
-        for kind in KINDS {
-            let mut q = EventQueue::with_kind(kind);
-            q.schedule(SimTime::from_nanos(10), 'a');
-            q.schedule(SimTime::from_nanos(20), 'c');
-            q.schedule(SimTime::from_nanos(10), 'b');
-            let mut batch = Vec::new();
-            assert_eq!(
-                q.pop_batch_into(&mut batch),
-                Some(SimTime::from_nanos(10)),
-                "{kind:?}"
-            );
-            assert_eq!(batch, vec!['a', 'b']);
-            assert_eq!(q.processed(), 2);
-            assert_eq!(q.pop_batch_into(&mut batch), Some(SimTime::from_nanos(20)));
-            assert_eq!(batch, vec!['c']);
-            assert_eq!(q.pop_batch_into(&mut batch), None);
-            assert!(batch.is_empty());
-        }
-    }
-
-    #[test]
-    fn calendar_handles_far_future_overflow_and_wrap() {
-        let mut q = EventQueue::with_kind(QueueKind::Calendar);
-        // A near event, a far event (beyond the initial 16-bucket horizon),
-        // and one in between, interleaved with pops.
-        q.schedule(SimTime::from_millis(500), "far");
-        q.schedule(SimTime::from_nanos(100), "near");
-        q.schedule(SimTime::from_micros(40), "mid");
-        assert_eq!(q.pop().unwrap().1, "near");
-        q.schedule(SimTime::from_micros(41), "mid2");
-        assert_eq!(q.pop().unwrap().1, "mid");
-        assert_eq!(q.pop().unwrap().1, "mid2");
-        assert_eq!(q.pop().unwrap().1, "far");
-        assert!(q.pop().is_none());
-    }
-
-    #[test]
-    fn calendar_resizes_under_load_and_stays_ordered() {
-        let mut q = EventQueue::with_kind(QueueKind::Calendar);
-        // Push enough to force several grows, with clustered timestamps,
-        // then drain (forcing shrinks) and check global order.
-        let mut times: Vec<u64> = (0..500u64)
-            .map(|i| 1_000 + (i * 37) % 251 + (i / 7) * 1_000)
-            .collect();
-        for (i, &t) in times.iter().enumerate() {
-            q.schedule(SimTime::from_nanos(t), i);
-        }
-        times.sort_unstable();
-        let popped: Vec<u64> = std::iter::from_fn(|| q.pop().map(|(t, _)| t.as_nanos())).collect();
-        assert_eq!(popped, times);
-    }
-
-    #[test]
-    fn backends_agree_on_a_mixed_interleaving() {
-        let mut heap = EventQueue::with_kind(QueueKind::Heap);
-        let mut cal = EventQueue::with_kind(QueueKind::Calendar);
-        let mut x = 0x1234_5678_u64;
-        let step = |q: &mut EventQueue<u64>, op: u64, t: u64| match op % 4 {
-            0 | 1 => q.schedule(SimTime::from_nanos(t), t),
-            2 => q.schedule_after(SimTime::from_nanos(t % 1_000), t),
-            _ => {
-                q.pop();
-            }
-        };
-        for i in 0..2_000 {
-            // xorshift: deterministic pseudo-random ops, identical for both.
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            let op = x % 4;
-            let t = (x >> 8) % 1_000_000;
-            step(&mut heap, op, t);
-            step(&mut cal, op, t);
-            if i % 97 == 0 {
-                assert_eq!(heap.peek_time(), cal.peek_time(), "step {i}");
-            }
-        }
-        assert_eq!(heap.len(), cal.len());
-        assert_eq!(heap.clamped(), cal.clamped());
-        loop {
-            let (a, b) = (heap.pop(), cal.pop());
-            assert_eq!(a, b);
-            if a.is_none() {
-                break;
-            }
-        }
+        let mut q = EventQueue::new();
+        q.schedule(SimTime::from_nanos(10), 'a');
+        q.schedule(SimTime::from_nanos(20), 'c');
+        q.schedule(SimTime::from_nanos(10), 'b');
+        let mut batch = Vec::new();
+        assert_eq!(q.pop_batch_into(&mut batch), Some(SimTime::from_nanos(10)));
+        assert_eq!(batch, vec!['a', 'b']);
+        assert_eq!(q.processed(), 2);
+        assert_eq!(q.pop_batch_into(&mut batch), Some(SimTime::from_nanos(20)));
+        assert_eq!(batch, vec!['c']);
+        assert_eq!(q.pop_batch_into(&mut batch), None);
+        assert!(batch.is_empty());
     }
 }
