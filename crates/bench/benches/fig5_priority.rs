@@ -3,7 +3,7 @@
 //! FCFS execution, grouped by kernel-duration class and workload size.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use gpreempt::experiments::PriorityResults;
+use gpreempt::experiments::{self, Experiment, PriorityResults};
 use gpreempt::{PolicyKind, SimulatorConfig};
 use gpreempt_bench::{run_representative, runner_from_env, scale_from_env};
 use std::hint::black_box;
@@ -11,8 +11,8 @@ use std::hint::black_box;
 fn bench_fig5(c: &mut Criterion) {
     let config = SimulatorConfig::default();
     let scale = scale_from_env();
-    let results = PriorityResults::run_with(&config, &scale, &runner_from_env())
-        .expect("figure 5 experiment");
+    let results: PriorityResults =
+        experiments::run(&config, &scale, &runner_from_env()).expect("figure 5 experiment");
     println!("{}", results.render_fig5().render());
     println!("{}", results.timing().summary());
 

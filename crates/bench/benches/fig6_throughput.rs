@@ -3,7 +3,7 @@
 //! exclusive and shared access to the execution engine.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use gpreempt::experiments::PriorityResults;
+use gpreempt::experiments::{self, PriorityResults};
 use gpreempt::{PolicyKind, SimulatorConfig};
 use gpreempt_bench::{run_representative, runner_from_env, scale_from_env};
 use std::hint::black_box;
@@ -11,8 +11,8 @@ use std::hint::black_box;
 fn bench_fig6(c: &mut Criterion) {
     let config = SimulatorConfig::default();
     let scale = scale_from_env();
-    let results = PriorityResults::run_with(&config, &scale, &runner_from_env())
-        .expect("figure 6 experiment");
+    let results: PriorityResults =
+        experiments::run(&config, &scale, &runner_from_env()).expect("figure 6 experiment");
     println!("{}", results.render_fig6(false).render());
     println!("{}", results.render_fig6(true).render());
 

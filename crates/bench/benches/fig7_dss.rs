@@ -3,7 +3,7 @@
 //! fairness and system throughput, relative to the FCFS baseline.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use gpreempt::experiments::SpatialResults;
+use gpreempt::experiments::{self, SpatialResults};
 use gpreempt::{PolicyKind, SimulatorConfig};
 use gpreempt_bench::{run_representative, runner_from_env, scale_from_env};
 use std::hint::black_box;
@@ -11,8 +11,8 @@ use std::hint::black_box;
 fn bench_fig7(c: &mut Criterion) {
     let config = SimulatorConfig::default();
     let scale = scale_from_env();
-    let results =
-        SpatialResults::run_with(&config, &scale, &runner_from_env()).expect("figure 7 experiment");
+    let results: SpatialResults =
+        experiments::run(&config, &scale, &runner_from_env()).expect("figure 7 experiment");
     println!("{}", results.render_fig7a().render());
     println!("{}", results.render_fig7b().render());
     println!("{}", results.render_fig7c().render());

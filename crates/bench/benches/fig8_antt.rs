@@ -3,7 +3,7 @@
 //! preemption mechanisms.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use gpreempt::experiments::SpatialResults;
+use gpreempt::experiments::{self, SpatialResults};
 use gpreempt::{PolicyKind, SimulatorConfig};
 use gpreempt_bench::{run_representative, runner_from_env, scale_from_env};
 use std::hint::black_box;
@@ -11,8 +11,8 @@ use std::hint::black_box;
 fn bench_fig8(c: &mut Criterion) {
     let config = SimulatorConfig::default();
     let scale = scale_from_env();
-    let results =
-        SpatialResults::run_with(&config, &scale, &runner_from_env()).expect("figure 8 experiment");
+    let results: SpatialResults =
+        experiments::run(&config, &scale, &runner_from_env()).expect("figure 8 experiment");
     println!("{}", results.render_fig8().render());
 
     // Timed unit: the FCFS baseline every Figure 8 curve is compared to.

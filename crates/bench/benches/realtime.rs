@@ -4,7 +4,7 @@
 //! the Criterion unit.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use gpreempt::experiments::RealtimeResults;
+use gpreempt::experiments::{self, Experiment, RealtimeResults};
 use gpreempt::{PolicyKind, Simulator, SimulatorConfig};
 use gpreempt_bench::{runner_from_env, scale_from_env};
 use gpreempt_trace::{parboil, ProcessSpec, Workload};
@@ -33,7 +33,8 @@ fn bench_realtime(c: &mut Criterion) {
     let scale = scale_from_env();
     let runner = runner_from_env();
 
-    let results = RealtimeResults::run_with(&config, &scale, &runner).expect("realtime sweep runs");
+    let results: RealtimeResults =
+        experiments::run(&config, &scale, &runner).expect("realtime sweep runs");
     println!("{}", results.render().render());
     println!("[{}]", results.timing().summary());
     assert!(

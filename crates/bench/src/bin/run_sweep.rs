@@ -52,8 +52,7 @@
 //!   unsharded run. Accepts `--format`, `--out`, `--jobs`, `--timing`.
 
 use gpreempt::experiments::{
-    ExperimentScale, Fig2Results, IsolatedRunCache, MechanismResults, PriorityResults,
-    RealtimeResults, SaturationResults, SpatialResults,
+    self, Driver, ExperimentScale, IsolatedRunCache, Registered, SweepOutput,
 };
 use gpreempt::sweep::{
     JsonlSink, MergedValues, ShardManifest, ShardSession, ShardSpec, SweepExec, SweepReport,
@@ -70,43 +69,9 @@ use std::io::Read as _;
 #[global_allocator]
 static ALLOC: gpreempt::sim::CountingAlloc = gpreempt::sim::CountingAlloc::new();
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Experiment {
-    Fig2,
-    Priority,
-    Spatial,
-    Mechanism,
-    Realtime,
-    Saturation,
-    All,
-}
-
-impl Experiment {
-    fn parse(text: &str) -> Result<Self, String> {
-        match text {
-            "fig2" => Ok(Experiment::Fig2),
-            "priority" => Ok(Experiment::Priority),
-            "spatial" => Ok(Experiment::Spatial),
-            "mechanism" => Ok(Experiment::Mechanism),
-            "realtime" => Ok(Experiment::Realtime),
-            "saturation" => Ok(Experiment::Saturation),
-            "all" => Ok(Experiment::All),
-            other => Err(format!("unknown experiment {other:?}")),
-        }
-    }
-
-    /// The selector string recorded in shard manifests.
-    fn label(self) -> &'static str {
-        match self {
-            Experiment::Fig2 => "fig2",
-            Experiment::Priority => "priority",
-            Experiment::Spatial => "spatial",
-            Experiment::Mechanism => "mechanism",
-            Experiment::Realtime => "realtime",
-            Experiment::Saturation => "saturation",
-            Experiment::All => "all",
-        }
-    }
+/// The experiments an `--experiment` selector (or a manifest's) names.
+fn select(selector: &str) -> Result<&'static [Registered], String> {
+    experiments::select(selector).ok_or_else(|| format!("unknown experiment {selector:?}"))
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -115,12 +80,35 @@ enum Format {
     Json,
 }
 
+fn parse_format(arg: Option<&str>) -> Result<Format, String> {
+    match arg {
+        Some("table") => Ok(Format::Table),
+        Some("json") => Ok(Format::Json),
+        other => Err(format!("unknown format {other:?}")),
+    }
+}
+
+/// Prints the tables (plus, with `--timing`, the per-scenario wall-clock
+/// table) or the JSON report to stdout.
+fn print_output(output: &SweepOutput, format: Format, timing_table: bool) {
+    match format {
+        Format::Table => {
+            for table in &output.tables {
+                println!("{}", table.render());
+            }
+            if timing_table {
+                println!("{}", output.timing.render().render());
+            }
+        }
+        Format::Json => println!("{}", output.report.to_json()),
+    }
+}
+
 fn usage() {
     println!("usage: run_sweep [options]");
     println!("       run_sweep merge SHARD.jsonl... [--format table|json] [--out FILE]");
-    println!(
-        "  --experiment fig2|priority|spatial|mechanism|realtime|saturation|all (default all)"
-    );
+    let names: Vec<&str> = experiments::EXPERIMENTS.iter().map(|e| e.name).collect();
+    println!("  --experiment {}|all (default all)", names.join("|"));
     println!("  --scale quick|bench|paper                          (default quick)");
     println!("  --jobs N          worker threads, 0 = one per CPU  (default 0)");
     println!("  --format table|json                                (default table)");
@@ -149,48 +137,28 @@ fn validate_stdin() -> Result<(), Box<dyn std::error::Error>> {
     }
 }
 
-fn scale_by_name(name: &str) -> Result<ExperimentScale, String> {
-    match name {
-        "quick" => Ok(ExperimentScale::quick()),
-        "bench" => Ok(ExperimentScale::bench()),
-        "paper" => Ok(ExperimentScale::paper()),
-        other => Err(format!("unknown scale {other:?}")),
-    }
+/// The named scale with a run's seed and depth-trace overrides, from the
+/// command line or a shard manifest.
+fn scale_of(
+    name: &str,
+    seed: Option<u64>,
+    depth_trace_us: Option<u64>,
+) -> Result<ExperimentScale, String> {
+    let mut scale = match name {
+        "quick" => ExperimentScale::quick(),
+        "bench" => ExperimentScale::bench(),
+        "paper" => ExperimentScale::paper(),
+        other => return Err(format!("unknown scale {other:?}")),
+    };
+    scale.seed = seed.unwrap_or(scale.seed);
+    Ok(scale.with_depth_trace(depth_trace_us.map(SimTime::from_micros)))
 }
 
-/// Runs the selected experiments under `exec` and collects their report,
-/// rendered tables and merged timing. In shard mode the harnesses yield no
-/// results (their fold values go to the checkpoint instead), so the report
-/// and tables come back empty; in full and merge mode the output is
-/// identical by construction.
-#[allow(clippy::too_many_arguments)]
-fn run_experiments(
-    experiment: Experiment,
-    config: &SimulatorConfig,
-    scale: &ExperimentScale,
-    runner: &SweepRunner,
-    isolated_cache: &IsolatedRunCache,
-    sink: Option<&JsonlSink>,
-    exec: &SweepExec<'_>,
-    timing_table: bool,
-) -> Result<(SweepReport, Vec<String>, SweepTiming), Box<dyn std::error::Error>> {
-    let mut report = SweepReport::new(scale.seed);
-    let mut timing = SweepTiming::default();
-    let mut tables: Vec<String> = Vec::new();
-    // Optional disk spill: realtime and saturation scenarios stream as they
-    // complete; the other experiments append their report records per
-    // experiment.
-    let spill =
-        |report: &SweepReport, first_new: usize| -> Result<(), Box<dyn std::error::Error>> {
-            if let Some(sink) = sink {
-                sink.append_all(&report.records()[first_new..])?;
-            }
-            Ok(())
-        };
-    // Per-experiment throughput, printed the moment each experiment
-    // completes so a long `--scale paper` run shows progress. Stderr, like
-    // the final summary, so piped JSON stays clean.
-    let note = |name: &str, t: &SweepTiming| {
+/// Per-experiment throughput, printed with `--timing` the moment each
+/// experiment completes so a long `--scale paper` run shows progress.
+/// Stderr, like the final summary, so piped JSON stays clean.
+fn progress(timing_table: bool) -> impl FnMut(&str, &SweepTiming) {
+    move |name, t| {
         if timing_table {
             eprintln!(
                 "{name}: {} scenarios, {} events in {:.2?} ({:.0} events/s)",
@@ -200,85 +168,7 @@ fn run_experiments(
                 t.events_per_sec(),
             );
         }
-    };
-
-    if matches!(experiment, Experiment::Fig2 | Experiment::All) {
-        if let Some(results) = Fig2Results::run_exec(config, runner, exec)? {
-            note("fig2", results.timing());
-            tables.push(results.render().render());
-            let first_new = report.len();
-            report.merge(results.report());
-            spill(&report, first_new)?;
-            timing = timing.merged(results.timing().clone());
-        }
     }
-    if matches!(experiment, Experiment::Priority | Experiment::All) {
-        if let Some(results) =
-            PriorityResults::run_exec(config, scale, runner, isolated_cache, exec)?
-        {
-            note("priority", results.timing());
-            tables.push(results.render_fig5().render());
-            tables.push(results.render_fig6(false).render());
-            tables.push(results.render_fig6(true).render());
-            let first_new = report.len();
-            report.merge(results.report());
-            spill(&report, first_new)?;
-            timing = timing.merged(results.timing().clone());
-        }
-    }
-    if matches!(experiment, Experiment::Spatial | Experiment::All) {
-        if let Some(results) =
-            SpatialResults::run_exec(config, scale, runner, isolated_cache, exec)?
-        {
-            note("spatial", results.timing());
-            tables.push(results.render_fig7a().render());
-            tables.push(results.render_fig7b().render());
-            tables.push(results.render_fig7c().render());
-            tables.push(results.render_fig8().render());
-            let first_new = report.len();
-            report.merge(results.report());
-            spill(&report, first_new)?;
-            timing = timing.merged(results.timing().clone());
-        }
-    }
-    if matches!(experiment, Experiment::Mechanism | Experiment::All) {
-        if let Some(results) =
-            MechanismResults::run_exec(config, scale, runner, isolated_cache, exec)?
-        {
-            note("mechanism", results.timing());
-            tables.push(results.render().render());
-            let first_new = report.len();
-            report.merge(results.report());
-            spill(&report, first_new)?;
-            timing = timing.merged(results.timing().clone());
-        }
-    }
-    if matches!(experiment, Experiment::Realtime | Experiment::All) {
-        // The realtime harness streams its raw per-scenario records through
-        // the sink itself (completion order; scenario-id order in a merge);
-        // only the aggregated cell records go through the shared report.
-        if let Some(results) =
-            RealtimeResults::run_exec(config, scale, runner, isolated_cache, sink, exec)?
-        {
-            note("realtime", results.timing());
-            tables.push(results.render().render());
-            report.merge(results.report());
-            timing = timing.merged(results.timing().clone());
-        }
-    }
-    if matches!(experiment, Experiment::Saturation | Experiment::All) {
-        // Like realtime, the saturation harness streams its raw
-        // per-scenario points through the sink itself.
-        if let Some(results) =
-            SaturationResults::run_exec(config, scale, runner, isolated_cache, sink, exec)?
-        {
-            note("saturation", results.timing());
-            tables.push(results.render().render());
-            report.merge(results.report());
-            timing = timing.merged(results.timing().clone());
-        }
-    }
-    Ok((report, tables, timing))
 }
 
 /// The `merge` subcommand: reassemble shard checkpoints into the report an
@@ -294,13 +184,7 @@ fn merge_main(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--format" => {
-                format = match it.next().map(String::as_str) {
-                    Some("table") => Format::Table,
-                    Some("json") => Format::Json,
-                    other => return Err(format!("unknown format {other:?}").into()),
-                }
-            }
+            "--format" => format = parse_format(it.next().map(String::as_str))?,
             "--out" => out_path = Some(it.next().ok_or("missing output path")?.clone()),
             "--jobs" => jobs = it.next().ok_or("missing job count")?.parse()?,
             "--timing" => timing_table = true,
@@ -319,45 +203,29 @@ fn merge_main(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     }
 
     let merged = MergedValues::load(&files)?;
-    let experiment = Experiment::parse(&merged.manifest().experiment)?;
-    let mut scale = scale_by_name(&merged.manifest().scale)?;
-    scale.seed = merged.manifest().seed;
-    if let Some(us) = merged.manifest().depth_trace_us {
-        scale = scale.with_depth_trace(Some(SimTime::from_micros(us)));
-    }
+    let manifest = merged.manifest();
+    let selection = select(&manifest.experiment)?;
+    let scale = scale_of(
+        &manifest.scale,
+        Some(manifest.seed),
+        manifest.depth_trace_us,
+    )?;
 
     let config = SimulatorConfig::default();
     // Only the cheap isolated probes actually simulate during a merge; the
     // sweep bodies are replayed from the checkpoints.
     let runner = SweepRunner::new(jobs);
-    let isolated_cache = IsolatedRunCache::new();
-    let sink = match &out_path {
-        Some(path) => Some(JsonlSink::create(path)?),
-        None => None,
+    let sink = out_path.as_ref().map(JsonlSink::create).transpose()?;
+    let driver = Driver {
+        config: &config,
+        scale: &scale,
+        runner: &runner,
+        cache: &IsolatedRunCache::new(),
+        sink: sink.as_ref(),
+        exec: SweepExec::Merge(&merged),
     };
-    let exec = SweepExec::Merge(&merged);
-    let (report, tables, timing) = run_experiments(
-        experiment,
-        &config,
-        &scale,
-        &runner,
-        &isolated_cache,
-        sink.as_ref(),
-        &exec,
-        timing_table,
-    )?;
-
-    match format {
-        Format::Table => {
-            for table in &tables {
-                println!("{table}");
-            }
-            if timing_table {
-                println!("{}", timing.render().render());
-            }
-        }
-        Format::Json => println!("{}", report.to_json()),
-    }
+    let output = driver.run_all(selection, progress(timing_table))?;
+    print_output(&output, format, timing_table);
     eprintln!(
         "merged {} checkpointed scenarios from {} shard file(s)",
         merged.len(),
@@ -375,7 +243,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         return merge_main(&cli[1..]);
     }
 
-    let mut experiment = Experiment::All;
+    let mut experiment = "all".to_string();
     let mut scale_name = "quick".to_string();
     let mut jobs = 0usize;
     let mut format = Format::Table;
@@ -390,19 +258,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut args = cli.into_iter();
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--experiment" => {
-                experiment = Experiment::parse(args.next().as_deref().unwrap_or("(missing)"))?;
-            }
+            "--experiment" => experiment = args.next().unwrap_or("(missing)".into()),
             "--scale" => scale_name = args.next().ok_or("missing scale")?,
             "--jobs" => jobs = args.next().ok_or("missing job count")?.parse()?,
             "--out" => out_path = Some(args.next().ok_or("missing output path")?),
-            "--format" => {
-                format = match args.next().as_deref() {
-                    Some("table") => Format::Table,
-                    Some("json") => Format::Json,
-                    other => return Err(format!("unknown format {other:?}").into()),
-                }
-            }
+            "--format" => format = parse_format(args.next().as_deref())?,
             "--seed" => seed = Some(args.next().ok_or("missing seed")?.parse()?),
             "--affinity" => affinity = true,
             "--depth-trace" => {
@@ -422,13 +282,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
     }
 
-    let mut scale = scale_by_name(&scale_name)?;
-    if let Some(seed) = seed {
-        scale.seed = seed;
-    }
-    if let Some(us) = depth_trace_us {
-        scale = scale.with_depth_trace(Some(SimTime::from_micros(us)));
-    }
+    let selection = select(&experiment)?;
+    let scale = scale_of(&scale_name, seed, depth_trace_us)?;
 
     // A shard run writes a checkpoint, not a report; the two outputs are
     // mutually exclusive by design.
@@ -442,13 +297,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             let path = shard_out
                 .take()
                 .unwrap_or_else(|| format!("shard-{}-of-{}.jsonl", spec.index, spec.count));
-            let manifest = ShardManifest::new(
-                experiment.label(),
-                &scale_name,
-                scale.seed,
-                spec,
-                depth_trace_us,
-            );
+            let manifest = ShardManifest::new(&experiment, &scale_name, &scale, spec);
             Some((ShardSession::open(&path, manifest)?, path))
         }
         None => {
@@ -467,25 +316,19 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // isolated scenario simulates exactly once instead of once per
     // experiment.
     let isolated_cache = IsolatedRunCache::new();
-    let sink = match &out_path {
-        Some(path) => Some(JsonlSink::create(path)?),
-        None => None,
+    let sink = out_path.as_ref().map(JsonlSink::create).transpose()?;
+    let driver = Driver {
+        config: &config,
+        scale: &scale,
+        runner: &runner,
+        cache: &isolated_cache,
+        sink: sink.as_ref(),
+        exec: match &session {
+            Some((session, _)) => SweepExec::Shard(session),
+            None => SweepExec::Full,
+        },
     };
-    let exec = match &session {
-        Some((session, _)) => SweepExec::Shard(session),
-        None => SweepExec::Full,
-    };
-
-    let (report, tables, timing) = run_experiments(
-        experiment,
-        &config,
-        &scale,
-        &runner,
-        &isolated_cache,
-        sink.as_ref(),
-        &exec,
-        timing_table,
-    )?;
+    let output = driver.run_all(selection, progress(timing_table))?;
 
     if let Some((session, path)) = &session {
         // A shard run has no report or tables — its entire output is the
@@ -500,17 +343,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         return Ok(());
     }
 
-    match format {
-        Format::Table => {
-            for table in &tables {
-                println!("{table}");
-            }
-            if timing_table {
-                println!("{}", timing.render().render());
-            }
-        }
-        Format::Json => println!("{}", report.to_json()),
-    }
+    print_output(&output, format, timing_table);
+    let timing = &output.timing;
     // The wall-clock summary is informational and run-to-run varying, so
     // it goes to stderr: `--format json | run_sweep --validate` stays
     // clean.

@@ -1,6 +1,7 @@
 //! Shared infrastructure of the experiment harnesses.
 
 use crate::config::{PolicyKind, SimulatorConfig};
+use crate::experiments::IsolatedPhase;
 use crate::simulator::Simulator;
 use crate::sweep::{Scenario, SweepPlan, SweepRunner, SweepTiming};
 use gpreempt_gpu::PreemptionMechanism;
@@ -171,91 +172,26 @@ pub fn ci95(values: &[f64]) -> f64 {
     t * gpreempt_sim::stats::stddev(values) / (values.len() as f64).sqrt()
 }
 
-/// Cache of per-benchmark isolated execution times (the denominator of every
-/// normalized metric). Isolated times do not depend on the scheduling policy
-/// or the preemption mechanism, so one cache is shared by every experiment.
+/// Isolated execution times (the denominator of every normalized metric),
+/// by benchmark name, as one isolated phase computed them.
 #[derive(Debug, Default)]
 pub struct IsolatedTimes {
     times: HashMap<String, SimTime>,
 }
 
 impl IsolatedTimes {
-    /// Creates an empty cache.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The isolated execution time of `benchmark`, simulating it on first
-    /// use.
-    ///
-    /// # Errors
-    ///
-    /// Propagates simulation errors from the isolated run.
-    pub fn time_of(
-        &mut self,
-        simulator: &Simulator,
-        benchmark: &BenchmarkTrace,
-    ) -> Result<SimTime, SimError> {
-        if let Some(&t) = self.times.get(benchmark.name()) {
-            return Ok(t);
-        }
-        let t = simulator.isolated_time(benchmark)?;
-        self.times.insert(benchmark.name().to_string(), t);
-        Ok(t)
-    }
-
     /// Isolated times of every process of a workload, in process order.
     ///
     /// # Errors
     ///
-    /// Propagates simulation errors from the isolated runs.
-    pub fn for_workload(
-        &mut self,
-        simulator: &Simulator,
-        workload: &Workload,
-    ) -> Result<Vec<SimTime>, SimError> {
-        workload
-            .processes()
-            .iter()
-            .map(|p| self.time_of(simulator, &p.benchmark))
-            .collect()
-    }
-
-    /// Number of benchmarks cached so far.
-    pub fn len(&self) -> usize {
-        self.times.len()
-    }
-
-    /// Whether the cache is empty.
-    pub fn is_empty(&self) -> bool {
-        self.times.is_empty()
-    }
-
-    /// Inserts a precomputed isolated time (used by the sweep phase that
-    /// batch-computes them).
-    pub fn insert(&mut self, benchmark: impl Into<String>, time: SimTime) {
-        self.times.insert(benchmark.into(), time);
-    }
-
-    /// The cached isolated time of a benchmark, if present.
-    pub fn get(&self, benchmark: &str) -> Option<SimTime> {
-        self.times.get(benchmark).copied()
-    }
-
-    /// Isolated times of every process of a workload, in process order,
-    /// from the cache alone (no lazy simulation).
-    ///
-    /// # Errors
-    ///
     /// Returns [`SimError::InvalidWorkload`] if any benchmark is missing
-    /// from the cache — the isolated sweep phase did not cover the
-    /// workload.
+    /// — the isolated phase did not cover the workload.
     pub fn times_for(&self, workload: &Workload) -> Result<Vec<SimTime>, SimError> {
         workload
             .processes()
             .iter()
             .map(|p| {
-                self.get(p.benchmark.name()).ok_or_else(|| {
+                self.times.get(p.benchmark.name()).copied().ok_or_else(|| {
                     SimError::invalid_workload(format!(
                         "no isolated time cached for benchmark {}",
                         p.benchmark.name()
@@ -354,45 +290,32 @@ impl IsolatedRunCache {
 /// [`IsolatedRunCache`]. FNV-1a over the configuration's debug rendering:
 /// stable within a process, which is all a per-invocation cache needs.
 pub fn config_fingerprint(config: &SimulatorConfig) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
     let text = format!(
         "{:?}|{:?}|{:?}|{}|{}",
         config.machine, config.engine, config.transfer_policy, config.seed, config.max_events
     );
-    for byte in text.bytes() {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    hash
+    fnv1a(text.bytes())
+}
+
+/// 64-bit FNV-1a over a byte stream.
+pub(crate) fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
+    bytes
+        .into_iter()
+        .fold(0xcbf2_9ce4_8422_2325_u64, |hash, byte| {
+            (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01B3)
+        })
 }
 
 /// Enumerates one isolated-execution scenario per distinct benchmark of the
-/// given workloads (first-appearance order) into a fresh plan, runs it on
-/// `runner`, and returns the populated [`IsolatedTimes`] cache plus the
-/// phase's wall-clock timing.
+/// given workloads (first-appearance order) that `cache` does not already
+/// hold for this configuration, runs them on `runner`, and returns the
+/// isolated times of every benchmark plus the phase's wall-clock timing.
 ///
 /// Each scenario replicates [`Simulator::isolated_time`] exactly — a
-/// single-process FCFS run under the fixed context-switch mechanism — so
-/// the cached values are bit-identical to the historical lazy computation,
-/// but distinct benchmarks simulate concurrently when the runner has more
-/// than one worker.
-///
-/// # Errors
-///
-/// Propagates any simulation error.
-pub fn isolated_times_via<'a>(
-    runner: &SweepRunner,
-    config: &SimulatorConfig,
-    workloads: impl IntoIterator<Item = &'a Workload>,
-) -> Result<(IsolatedTimes, SweepTiming), SimError> {
-    isolated_times_with_cache(runner, config, workloads, &IsolatedRunCache::new())
-}
-
-/// [`isolated_times_via`] backed by a shared [`IsolatedRunCache`]:
-/// benchmarks whose isolated time is already cached for this configuration
-/// are filled from the cache, and only the missing ones are enumerated and
-/// simulated. The isolated runs themselves are streamed (folded to a single
-/// [`SimTime`] on the worker), so the phase holds no run bodies either.
+/// single-process FCFS run under the fixed context-switch mechanism — but
+/// distinct benchmarks simulate concurrently when the runner has more than
+/// one worker. The runs are streamed (folded to a single [`SimTime`] on the
+/// worker), so the phase holds no run bodies either.
 ///
 /// # Errors
 ///
@@ -408,7 +331,7 @@ pub fn isolated_times_with_cache<'a>(
         .with_mechanism(PreemptionMechanism::ContextSwitch);
     let fingerprint = config_fingerprint(&iso_config);
     let mut plan = SweepPlan::new(iso_config);
-    let mut times = IsolatedTimes::new();
+    let mut times = IsolatedTimes::default();
     let mut seen: Vec<String> = Vec::new();
     let mut missing: Vec<String> = Vec::new();
     for workload in workloads {
@@ -419,7 +342,7 @@ pub fn isolated_times_with_cache<'a>(
             }
             seen.push(name.to_string());
             if let Some(t) = cache.lookup(name, fingerprint) {
-                times.insert(name, t);
+                times.times.insert(name.to_string(), t);
                 continue;
             }
             missing.push(name.to_string());
@@ -431,18 +354,52 @@ pub fn isolated_times_with_cache<'a>(
     let timing = results.timing(&plan);
     for (name, outcome) in missing.into_iter().zip(results.outcomes()) {
         cache.insert(name.clone(), fingerprint, outcome.value);
-        times.insert(name, outcome.value);
+        times.times.insert(name, outcome.value);
     }
     Ok((times, timing))
 }
 
-/// Builds a simulator with the given preemption mechanism, sharing all other
-/// configuration.
-pub fn simulator_with_mechanism(
-    config: &SimulatorConfig,
-    mechanism: PreemptionMechanism,
-) -> Simulator {
-    Simulator::new(config.clone().with_mechanism(mechanism))
+/// A closed-loop workload population with every workload's isolated
+/// times: the fold context of the priority, spatial and mechanism
+/// experiments, whose plans run every workload under every configuration,
+/// workload-major.
+#[derive(Debug)]
+pub struct Population {
+    /// `(size, workload)` pairs, in enumeration order.
+    pub(crate) workloads: Vec<(usize, Workload)>,
+    /// The isolated time of every process, per workload.
+    pub(crate) isolated: Vec<Vec<SimTime>>,
+    /// The workload sizes evaluated.
+    pub(crate) sizes: Vec<usize>,
+}
+
+impl Population {
+    /// Draws `draw(generator, size)` workloads for every size of `scale`,
+    /// applies the replay target and probes their isolated times.
+    pub(crate) fn generate(
+        config: &SimulatorConfig,
+        scale: &ExperimentScale,
+        isolated: &mut IsolatedPhase<'_>,
+        mut draw: impl FnMut(&mut WorkloadGenerator, usize) -> Vec<Workload>,
+    ) -> Result<Self, SimError> {
+        let mut generator = scale.generator(config);
+        let mut workloads = Vec::new();
+        for &size in &scale.workload_sizes {
+            for workload in draw(&mut generator, size) {
+                workloads.push((size, scale.finalize(workload)));
+            }
+        }
+        let times = isolated.times(workloads.iter().map(|(_, w)| w))?;
+        let isolated = workloads
+            .iter()
+            .map(|(_, w)| times.times_for(w))
+            .collect::<Result<_, _>>()?;
+        Ok(Population {
+            workloads,
+            isolated,
+            sizes: scale.workload_sizes.clone(),
+        })
+    }
 }
 
 /// Arithmetic mean of an iterator of values; NaN when empty (rendered as
@@ -495,21 +452,29 @@ mod tests {
     #[test]
     fn isolated_cache_deduplicates() {
         let config = SimulatorConfig::default();
-        let sim = Simulator::new(config);
         let gpu = GpuConfig::default();
-        let mut cache = IsolatedTimes::new();
-        assert!(cache.is_empty());
         let spmv = parboil::benchmark("spmv", &gpu).unwrap();
-        let a = cache.time_of(&sim, &spmv).unwrap();
-        let b = cache.time_of(&sim, &spmv).unwrap();
-        assert_eq!(a, b);
-        assert_eq!(cache.len(), 1);
-    }
-
-    #[test]
-    fn mean_helper() {
-        assert_eq!(mean_of([1.0, 3.0]), 2.0);
-        assert!(mean_of(std::iter::empty()).is_nan());
+        let workload = Workload::new(
+            "spmv-twice",
+            vec![
+                gpreempt_trace::ProcessSpec::new(spmv.clone()),
+                gpreempt_trace::ProcessSpec::new(spmv),
+            ],
+        );
+        let runner = SweepRunner::sequential();
+        let cache = IsolatedRunCache::new();
+        assert!(cache.is_empty());
+        let (first, timing) =
+            isolated_times_with_cache(&runner, &config, [&workload], &cache).unwrap();
+        assert_eq!(timing.entries.len(), 1, "one probe per distinct benchmark");
+        let (second, timing) =
+            isolated_times_with_cache(&runner, &config, [&workload], &cache).unwrap();
+        assert!(
+            timing.entries.is_empty(),
+            "the second phase is served from cache"
+        );
+        assert_eq!(first.times_for(&workload), second.times_for(&workload));
+        assert_eq!((cache.len(), cache.misses(), cache.hits()), (1, 1, 1));
     }
 
     #[test]
@@ -522,25 +487,49 @@ mod tests {
             "pair",
             vec![
                 gpreempt_trace::ProcessSpec::new(spmv.clone()),
-                gpreempt_trace::ProcessSpec::new(sgemm.clone()),
-                gpreempt_trace::ProcessSpec::new(spmv.clone()),
+                gpreempt_trace::ProcessSpec::new(sgemm),
+                gpreempt_trace::ProcessSpec::new(spmv),
             ],
         );
 
-        // Historical lazy path: reference simulator + per-benchmark cache.
-        let reference = simulator_with_mechanism(&config, PreemptionMechanism::ContextSwitch);
-        let mut lazy = IsolatedTimes::new();
-        let expected = lazy.for_workload(&reference, &workload).unwrap();
+        // Lazy reference: one isolated probe per process on a
+        // context-switch simulator, memoised by benchmark name.
+        let reference = Simulator::new(
+            config
+                .clone()
+                .with_mechanism(PreemptionMechanism::ContextSwitch),
+        );
+        let mut lazy: HashMap<String, SimTime> = HashMap::new();
+        let expected: Vec<SimTime> = workload
+            .processes()
+            .iter()
+            .map(|p| {
+                *lazy
+                    .entry(p.benchmark.name().to_string())
+                    .or_insert_with(|| reference.isolated_time(&p.benchmark).unwrap())
+            })
+            .collect();
 
         // Sweep path, sequential and parallel.
         for jobs in [1, 4] {
-            let (cache, timing) =
-                isolated_times_via(&SweepRunner::new(jobs), &config, [&workload]).unwrap();
-            assert_eq!(cache.len(), 2, "two distinct benchmarks");
-            assert_eq!(cache.times_for(&workload).unwrap(), expected, "jobs={jobs}");
+            let (times, timing) = isolated_times_with_cache(
+                &SweepRunner::new(jobs),
+                &config,
+                [&workload],
+                &IsolatedRunCache::new(),
+            )
+            .unwrap();
+            assert_eq!(times.times.len(), 2, "two distinct benchmarks");
+            assert_eq!(times.times_for(&workload).unwrap(), expected, "jobs={jobs}");
             assert_eq!(timing.entries.len(), 2);
             assert_eq!(timing.entries[0].group, "isolated");
         }
+    }
+
+    #[test]
+    fn mean_helper() {
+        assert_eq!(mean_of([1.0, 3.0]), 2.0);
+        assert!(mean_of(std::iter::empty()).is_nan());
     }
 
     #[test]
@@ -552,10 +541,9 @@ mod tests {
                 parboil::benchmark("spmv", &gpu).unwrap(),
             )],
         );
-        let mut cache = IsolatedTimes::new();
+        let mut cache = IsolatedTimes::default();
         assert!(cache.times_for(&workload).is_err());
-        cache.insert("spmv", SimTime::from_micros(5));
-        assert_eq!(cache.get("spmv"), Some(SimTime::from_micros(5)));
+        cache.times.insert("spmv".into(), SimTime::from_micros(5));
         assert_eq!(
             cache.times_for(&workload).unwrap(),
             vec![SimTime::from_micros(5)]

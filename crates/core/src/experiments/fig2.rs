@@ -7,29 +7,30 @@
 //! starts almost immediately.
 
 use crate::config::{PolicyKind, SimulatorConfig};
-use crate::json::Value;
+use crate::experiments::{Experiment, ExperimentScale, IsolatedPhase};
 use crate::report::TextTable;
-use crate::sweep::shard::{dec_time, enc_time, field, run_plan_values};
-use crate::sweep::{
-    Scenario, SweepExec, SweepPlan, SweepRecord, SweepReport, SweepRunner, SweepTiming, ValueCodec,
-};
+use crate::simulator::SimulationRun;
+use crate::sweep::shard::checkpointed;
+use crate::sweep::{Scenario, SweepPlan, SweepRecord, SweepReport, SweepTiming};
 use gpreempt_gpu::{MechanismSelection, PreemptionMechanism};
 use gpreempt_trace::{BenchmarkTrace, KernelSpec, ProcessSpec, Workload};
 use gpreempt_types::{KernelFootprint, Priority, ProcessId, SimError, SimTime};
 
-/// Timeline of the three kernels under one scheduler.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Fig2Timeline {
-    /// The scheduler that produced this timeline.
-    pub policy: PolicyKind,
-    /// When the low-priority kernel K1 finished.
-    pub k1_finish: SimTime,
-    /// When the low-priority kernel K2 finished.
-    pub k2_finish: SimTime,
-    /// When the high-priority kernel K3 started executing on SMs.
-    pub k3_start: SimTime,
-    /// When the high-priority kernel K3 finished (its "deadline" latency).
-    pub k3_finish: SimTime,
+checkpointed! {
+    /// Timeline of the three kernels under one scheduler.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    pub struct Fig2Timeline {
+        /// The scheduler that produced this timeline.
+        pub policy: PolicyKind,
+        /// When the low-priority kernel K1 finished.
+        pub k1_finish: SimTime,
+        /// When the low-priority kernel K2 finished.
+        pub k2_finish: SimTime,
+        /// When the high-priority kernel K3 started executing on SMs.
+        pub k3_start: SimTime,
+        /// When the high-priority kernel K3 finished (its "deadline" latency).
+        pub k3_finish: SimTime,
+    }
 }
 
 /// The Figure 2 experiment: the same three-kernel scenario under FCFS,
@@ -51,139 +52,72 @@ impl PartialEq for Fig2Results {
     }
 }
 
-impl Fig2Results {
-    /// The three schedulers of the figure, in the order the paper draws
-    /// them.
-    const POLICIES: [PolicyKind; 3] = [PolicyKind::Fcfs, PolicyKind::Npq, PolicyKind::PpqExclusive];
+/// The three schedulers of the figure, in the order the paper draws them.
+const POLICIES: [PolicyKind; 3] = [PolicyKind::Fcfs, PolicyKind::Npq, PolicyKind::PpqExclusive];
 
-    /// Runs the scenario sequentially.
-    ///
-    /// # Errors
-    ///
-    /// Propagates any simulation error.
-    pub fn run(config: &SimulatorConfig) -> Result<Self, SimError> {
-        Self::run_with(config, &SweepRunner::sequential())
-    }
+impl Experiment for Fig2Results {
+    const NAME: &'static str = "fig2";
+    type Value = Fig2Timeline;
+    type Context = ();
 
-    /// Runs the three-scheduler scenario on `runner`'s workers; results are
-    /// bit-identical for every worker count. The timeline marks are folded
-    /// out of each run on the worker that simulated it; no run bodies are
-    /// retained.
-    ///
-    /// # Errors
-    ///
-    /// Propagates any simulation error.
-    pub fn run_with(config: &SimulatorConfig, runner: &SweepRunner) -> Result<Self, SimError> {
-        Ok(Self::run_exec(config, runner, &SweepExec::Full)?.expect("full run yields results"))
-    }
-
-    /// [`run_with`](Self::run_with) under an explicit execution mode: a
-    /// shard run checkpoints timelines and returns `None`; a merge decodes
-    /// them and aggregates exactly like a full run.
-    ///
-    /// # Errors
-    ///
-    /// Propagates simulation, checkpoint and decode errors.
-    pub fn run_exec(
+    /// One scenario per scheduler, all under the fixed context-switch
+    /// mechanism; the scale plays no part.
+    fn enumerate(
         config: &SimulatorConfig,
-        runner: &SweepRunner,
-        exec: &SweepExec<'_>,
-    ) -> Result<Option<Self>, SimError> {
+        _scale: &ExperimentScale,
+        _isolated: &mut IsolatedPhase<'_>,
+    ) -> Result<(SweepPlan, ()), SimError> {
         let workload = Self::workload();
         let mut plan = SweepPlan::new(config.clone());
-        for policy in Self::POLICIES {
+        for policy in POLICIES {
             plan.push(
                 Scenario::new("fig2", policy.label(), workload.clone(), policy).with_selection(
                     MechanismSelection::Fixed(PreemptionMechanism::ContextSwitch),
                 ),
             );
         }
-        let fold = |scenario: &Scenario, run: crate::SimulationRun| {
-            let completion_of = |process: u32| {
-                run.kernel_completions()
-                    .iter()
-                    .find(|c| c.process == ProcessId::new(process))
-                    .copied()
-                    .expect("kernel completed")
-            };
-            // Process 0 launches K1 then K2 (same stream); process 1
-            // launches the high-priority K3.
-            let k1 = run
-                .kernel_completions()
+        Ok((plan, ()))
+    }
+
+    fn fold(_: &(), scenario: &Scenario, run: SimulationRun) -> Result<Fig2Timeline, SimError> {
+        // Process 0 launches K1 then K2 (different streams); process 1
+        // launches the high-priority K3.
+        let low_finishes = || {
+            run.kernel_completions()
                 .iter()
                 .filter(|c| c.process == ProcessId::new(0))
                 .map(|c| c.finished_at)
-                .min()
-                .expect("K1 completed");
-            let k2 = run
-                .kernel_completions()
-                .iter()
-                .filter(|c| c.process == ProcessId::new(0))
-                .map(|c| c.finished_at)
-                .max()
-                .expect("K2 completed");
-            let k3 = completion_of(1);
-            Ok(Fig2Timeline {
-                policy: Self::POLICIES[scenario.id],
-                k1_finish: k1,
-                k2_finish: k2,
-                k3_start: k3.started_at,
-                k3_finish: k3.finished_at,
-            })
         };
-        let outcome = run_plan_values(
-            exec,
-            runner,
-            &plan,
-            "fig2",
-            &Self::codec(),
-            &fold,
-            &|_, _| Ok(()),
-        )?;
-        Ok(outcome.values.map(|timelines| Fig2Results {
+        let k3 = run
+            .kernel_completions()
+            .iter()
+            .find(|c| c.process == ProcessId::new(1))
+            .expect("K3 completed");
+        Ok(Fig2Timeline {
+            policy: POLICIES[scenario.id],
+            k1_finish: low_finishes().min().expect("K1 completed"),
+            k2_finish: low_finishes().max().expect("K2 completed"),
+            k3_start: k3.started_at,
+            k3_finish: k3.finished_at,
+        })
+    }
+
+    fn aggregate(
+        plan: &SweepPlan,
+        _: (),
+        timelines: Vec<Fig2Timeline>,
+        timing: SweepTiming,
+    ) -> Self {
+        Fig2Results {
             timelines,
             plan_seed: plan.seed(),
-            timing: outcome.timing,
-        }))
-    }
-
-    /// Checkpoint codec for one timeline. The policy rides along because a
-    /// decoder only sees the value, not the scenario that produced it.
-    fn codec() -> ValueCodec<Fig2Timeline> {
-        fn encode(t: &Fig2Timeline) -> Value {
-            Value::object([
-                ("policy", Value::from(t.policy.label())),
-                ("k1_finish_ns", enc_time(t.k1_finish)),
-                ("k2_finish_ns", enc_time(t.k2_finish)),
-                ("k3_start_ns", enc_time(t.k3_start)),
-                ("k3_finish_ns", enc_time(t.k3_finish)),
-            ])
+            timing,
         }
-        fn decode(v: &Value) -> Result<Fig2Timeline, SimError> {
-            let label = field(v, "policy")?.as_str().unwrap_or_default();
-            let policy = PolicyKind::all()
-                .into_iter()
-                .find(|p| p.label() == label)
-                .ok_or_else(|| SimError::internal(format!("unknown policy label {label:?}")))?;
-            Ok(Fig2Timeline {
-                policy,
-                k1_finish: dec_time(field(v, "k1_finish_ns")?)?,
-                k2_finish: dec_time(field(v, "k2_finish_ns")?)?,
-                k3_start: dec_time(field(v, "k3_start_ns")?)?,
-                k3_finish: dec_time(field(v, "k3_finish_ns")?)?,
-            })
-        }
-        ValueCodec { encode, decode }
     }
 
-    /// Wall-clock timing of the underlying three-scenario sweep.
-    pub fn timing(&self) -> &SweepTiming {
-        &self.timing
-    }
-
-    /// The machine-readable report: one record per scheduler with the four
-    /// timeline marks in microseconds.
-    pub fn report(&self) -> SweepReport {
+    /// One record per scheduler with the four timeline marks in
+    /// microseconds.
+    fn report(&self) -> SweepReport {
         let mut report = SweepReport::new(self.plan_seed);
         for t in &self.timelines {
             report.push(
@@ -197,6 +131,16 @@ impl Fig2Results {
         report
     }
 
+    fn tables(&self) -> Vec<TextTable> {
+        vec![self.render()]
+    }
+
+    fn timing(&self) -> &SweepTiming {
+        &self.timing
+    }
+}
+
+impl Fig2Results {
     /// The three-kernel workload: K1 and K2 are long, low-priority kernels
     /// from one process; K3 is a short, high-priority kernel from another
     /// process, launched shortly after.

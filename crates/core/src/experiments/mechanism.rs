@@ -9,16 +9,12 @@
 //! prediction error.
 
 use crate::config::{PolicyKind, SimulatorConfig};
-use crate::experiments::common::{isolated_times_with_cache, ExperimentScale, IsolatedRunCache};
-use crate::json::Value;
+use crate::experiments::common::{mean_of, ExperimentScale, Population};
+use crate::experiments::{Experiment, IsolatedPhase};
 use crate::report::TextTable;
 use crate::simulator::SimulationRun;
-use crate::sweep::shard::{
-    dec_f64, dec_time, dec_u64, enc_f64, enc_time, enc_u64, field, run_plan_values,
-};
-use crate::sweep::{
-    Scenario, SweepExec, SweepPlan, SweepRecord, SweepReport, SweepRunner, SweepTiming, ValueCodec,
-};
+use crate::sweep::shard::checkpointed;
+use crate::sweep::{Scenario, SweepPlan, SweepRecord, SweepReport, SweepTiming};
 use gpreempt_gpu::{MechanismSelection, PreemptionMechanism};
 use gpreempt_sim::stats::fmt_stat;
 use gpreempt_types::{SimError, SimTime};
@@ -74,29 +70,31 @@ impl std::fmt::Display for MechanismConfig {
     }
 }
 
-/// The outcome of one workload under one mechanism configuration.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MechanismOutcome {
-    /// Average normalized turnaround time.
-    pub antt: f64,
-    /// System throughput.
-    pub stp: f64,
-    /// Fairness.
-    pub fairness: f64,
-    /// Preemptions requested by the policy.
-    pub preemptions: u64,
-    /// Preemptions that ran to completion.
-    pub preemptions_completed: u64,
-    /// Mean request-to-hand-over preemption latency.
-    pub mean_preemption_latency: SimTime,
-    /// Adaptive picks that chose draining (0 under fixed selection).
-    pub drain_picks: u64,
-    /// Adaptive picks that chose context switching (0 under fixed
-    /// selection).
-    pub cs_picks: u64,
-    /// Mean absolute error of the adaptive latency estimates (zero under
-    /// fixed selection).
-    pub mean_estimate_error: SimTime,
+checkpointed! {
+    /// The outcome of one workload under one mechanism configuration.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct MechanismOutcome {
+        /// Average normalized turnaround time.
+        pub antt: f64,
+        /// System throughput.
+        pub stp: f64,
+        /// Fairness.
+        pub fairness: f64,
+        /// Preemptions requested by the policy.
+        pub preemptions: u64,
+        /// Preemptions that ran to completion.
+        pub preemptions_completed: u64,
+        /// Mean request-to-hand-over preemption latency.
+        pub mean_preemption_latency: SimTime,
+        /// Adaptive picks that chose draining (0 under fixed selection).
+        pub drain_picks: u64,
+        /// Adaptive picks that chose context switching (0 under fixed
+        /// selection).
+        pub cs_picks: u64,
+        /// Mean absolute error of the adaptive latency estimates (zero under
+        /// fixed selection).
+        pub mean_estimate_error: SimTime,
+    }
 }
 
 /// The results of one workload across every mechanism configuration.
@@ -146,84 +144,23 @@ pub struct MechanismResults {
     timing: SweepTiming,
 }
 
-impl MechanismResults {
-    /// Runs the ablation at the given scale on a single worker (the
-    /// historical sequential behaviour): every random workload of every
-    /// size is simulated under DSS (the preemption-heavy policy) with each
-    /// of the three mechanism configurations.
-    ///
-    /// # Errors
-    ///
-    /// Propagates any simulation error.
-    pub fn run(config: &SimulatorConfig, scale: &ExperimentScale) -> Result<Self, SimError> {
-        Self::run_with(config, scale, &SweepRunner::sequential())
-    }
+impl Experiment for MechanismResults {
+    const NAME: &'static str = "mechanism";
+    type Value = MechanismOutcome;
+    type Context = Population;
 
-    /// Runs the ablation at the given scale on `runner`'s workers; results
-    /// are bit-identical for every worker count.
-    ///
-    /// # Errors
-    ///
-    /// Propagates any simulation error.
-    pub fn run_with(
+    /// The spatial experiment's random population, each workload under DSS
+    /// (the preemption-heavy policy) with every [`MechanismConfig`].
+    fn enumerate(
         config: &SimulatorConfig,
         scale: &ExperimentScale,
-        runner: &SweepRunner,
-    ) -> Result<Self, SimError> {
-        Self::run_with_cache(config, scale, runner, &IsolatedRunCache::new())
-    }
-
-    /// [`run_with`](Self::run_with) backed by a shared [`IsolatedRunCache`]
-    /// and a streaming main sweep: each [`SimulationRun`] is folded into its
-    /// [`MechanismOutcome`] (metrics plus engine counters) on the worker and
-    /// dropped, so memory stays O(scenarios).
-    ///
-    /// # Errors
-    ///
-    /// Propagates any simulation error.
-    pub fn run_with_cache(
-        config: &SimulatorConfig,
-        scale: &ExperimentScale,
-        runner: &SweepRunner,
-        cache: &IsolatedRunCache,
-    ) -> Result<Self, SimError> {
-        Ok(
-            Self::run_exec(config, scale, runner, cache, &SweepExec::Full)?
-                .expect("full run yields results"),
-        )
-    }
-
-    /// [`run_with_cache`](Self::run_with_cache) under an explicit execution
-    /// mode: a shard run checkpoints outcomes and returns `None`; a merge
-    /// decodes them and aggregates exactly like a full run.
-    ///
-    /// # Errors
-    ///
-    /// Propagates simulation, checkpoint and decode errors.
-    pub fn run_exec(
-        config: &SimulatorConfig,
-        scale: &ExperimentScale,
-        runner: &SweepRunner,
-        cache: &IsolatedRunCache,
-        exec: &SweepExec<'_>,
-    ) -> Result<Option<Self>, SimError> {
-        let mut generator = scale.generator(config);
-        let mut workloads = Vec::new();
-        for &size in &scale.workload_sizes {
-            for workload in generator.random_population(size, scale.random_workloads) {
-                workloads.push((size, scale.finalize(workload)));
-            }
-        }
-
-        let (isolated, iso_timing) =
-            isolated_times_with_cache(runner, config, workloads.iter().map(|(_, w)| w), cache)?;
-        let iso_per_workload: Vec<Vec<SimTime>> = workloads
-            .iter()
-            .map(|(_, w)| isolated.times_for(w))
-            .collect::<Result<_, _>>()?;
-
+        isolated: &mut IsolatedPhase<'_>,
+    ) -> Result<(SweepPlan, Population), SimError> {
+        let population = Population::generate(config, scale, isolated, |generator, size| {
+            generator.random_population(size, scale.random_workloads)
+        })?;
         let mut plan = SweepPlan::new(config.clone()).with_seed(scale.seed);
-        for (_, workload) in &workloads {
+        for (_, workload) in &population.workloads {
             for cfg in MechanismConfig::all() {
                 plan.push(
                     Scenario::new("mechanism", cfg.label(), workload.clone(), PolicyKind::Dss)
@@ -231,114 +168,60 @@ impl MechanismResults {
                 );
             }
         }
-        let n_cfg = MechanismConfig::all().len();
-        let fold =
-            |scenario: &Scenario, run: SimulationRun| -> Result<MechanismOutcome, SimError> {
-                let metrics = run.metrics(&iso_per_workload[scenario.id / n_cfg])?;
-                let stats = run.engine_stats();
-                Ok(MechanismOutcome {
-                    antt: metrics.antt(),
-                    stp: metrics.stp(),
-                    fairness: metrics.fairness(),
-                    preemptions: stats.preemptions,
-                    preemptions_completed: stats.preemptions_completed,
-                    mean_preemption_latency: stats.mean_preemption_latency(),
-                    drain_picks: stats.adaptive_drain_picks,
-                    cs_picks: stats.adaptive_cs_picks,
-                    mean_estimate_error: stats.mean_estimate_error(),
-                })
-            };
-        let outcome = run_plan_values(
-            exec,
-            runner,
-            &plan,
-            "mechanism",
-            &Self::codec(),
-            &fold,
-            &|_, _| Ok(()),
-        )?;
-        let Some(outcome_values) = outcome.values else {
-            return Ok(None);
-        };
-        let timing = iso_timing.merged(outcome.timing);
+        Ok((plan, population))
+    }
 
-        let mut values = outcome_values.into_iter();
-        let mut records = Vec::new();
-        for (size, workload) in &workloads {
-            let mut outcomes = HashMap::new();
-            for cfg in MechanismConfig::all() {
-                let outcome = values.next().expect("one outcome per scenario");
-                outcomes.insert(cfg, outcome);
-            }
-            records.push(MechanismRecord {
+    fn fold(
+        population: &Population,
+        scenario: &Scenario,
+        run: SimulationRun,
+    ) -> Result<MechanismOutcome, SimError> {
+        let isolated = &population.isolated[scenario.id / MechanismConfig::all().len()];
+        let metrics = run.metrics(isolated)?;
+        let stats = run.engine_stats();
+        Ok(MechanismOutcome {
+            antt: metrics.antt(),
+            stp: metrics.stp(),
+            fairness: metrics.fairness(),
+            preemptions: stats.preemptions,
+            preemptions_completed: stats.preemptions_completed,
+            mean_preemption_latency: stats.mean_preemption_latency(),
+            drain_picks: stats.adaptive_drain_picks,
+            cs_picks: stats.adaptive_cs_picks,
+            mean_estimate_error: stats.mean_estimate_error(),
+        })
+    }
+
+    fn aggregate(
+        plan: &SweepPlan,
+        population: Population,
+        values: Vec<MechanismOutcome>,
+        timing: SweepTiming,
+    ) -> Self {
+        let mut values = values.into_iter();
+        let records = population
+            .workloads
+            .iter()
+            .map(|(size, workload)| MechanismRecord {
                 workload: workload.name().to_string(),
                 size: *size,
-                outcomes,
-            });
-        }
-
-        Ok(Some(MechanismResults {
-            records,
-            sizes: scale.workload_sizes.clone(),
-            seed: scale.seed,
-            timing,
-        }))
-    }
-
-    /// Checkpoint codec for one outcome: metrics as exact floats, counters
-    /// as exact integers, latencies as exact nanoseconds.
-    fn codec() -> ValueCodec<MechanismOutcome> {
-        fn encode(o: &MechanismOutcome) -> Value {
-            Value::object([
-                ("antt", enc_f64(o.antt)),
-                ("stp", enc_f64(o.stp)),
-                ("fairness", enc_f64(o.fairness)),
-                ("preemptions", enc_u64(o.preemptions)),
-                ("preemptions_completed", enc_u64(o.preemptions_completed)),
-                (
-                    "mean_preemption_latency_ns",
-                    enc_time(o.mean_preemption_latency),
-                ),
-                ("drain_picks", enc_u64(o.drain_picks)),
-                ("cs_picks", enc_u64(o.cs_picks)),
-                ("mean_estimate_error_ns", enc_time(o.mean_estimate_error)),
-            ])
-        }
-        fn decode(v: &Value) -> Result<MechanismOutcome, SimError> {
-            Ok(MechanismOutcome {
-                antt: dec_f64(field(v, "antt")?)?,
-                stp: dec_f64(field(v, "stp")?)?,
-                fairness: dec_f64(field(v, "fairness")?)?,
-                preemptions: dec_u64(field(v, "preemptions")?)?,
-                preemptions_completed: dec_u64(field(v, "preemptions_completed")?)?,
-                mean_preemption_latency: dec_time(field(v, "mean_preemption_latency_ns")?)?,
-                drain_picks: dec_u64(field(v, "drain_picks")?)?,
-                cs_picks: dec_u64(field(v, "cs_picks")?)?,
-                mean_estimate_error: dec_time(field(v, "mean_estimate_error_ns")?)?,
+                outcomes: MechanismConfig::all()
+                    .into_iter()
+                    .zip(&mut values)
+                    .collect(),
             })
+            .collect();
+        MechanismResults {
+            records,
+            sizes: population.sizes,
+            seed: plan.seed(),
+            timing,
         }
-        ValueCodec { encode, decode }
     }
 
-    /// The per-workload records.
-    pub fn records(&self) -> &[MechanismRecord] {
-        &self.records
-    }
-
-    /// The workload sizes evaluated.
-    pub fn sizes(&self) -> &[usize] {
-        &self.sizes
-    }
-
-    /// Wall-clock timing of the underlying sweep (isolated phase + main
-    /// phase).
-    pub fn timing(&self) -> &SweepTiming {
-        &self.timing
-    }
-
-    /// The machine-readable report: one record per workload × selection
-    /// mode, with metrics, preemption counters and the adaptive pick split.
-    pub fn report(&self) -> SweepReport {
+    /// One record per workload × selection mode, with metrics, preemption
+    /// counters and the adaptive pick split.
+    fn report(&self) -> SweepReport {
         let mut report = SweepReport::new(self.seed);
         for record in &self.records {
             for cfg in MechanismConfig::all() {
@@ -363,6 +246,26 @@ impl MechanismResults {
         report
     }
 
+    fn tables(&self) -> Vec<TextTable> {
+        vec![self.render()]
+    }
+
+    fn timing(&self) -> &SweepTiming {
+        &self.timing
+    }
+}
+
+impl MechanismResults {
+    /// The per-workload records.
+    pub fn records(&self) -> &[MechanismRecord] {
+        &self.records
+    }
+
+    /// The workload sizes evaluated.
+    pub fn sizes(&self) -> &[usize] {
+        &self.sizes
+    }
+
     /// Whether at least one workload mix with preemptions under every
     /// configuration met the adaptive latency bound (mean adaptive latency
     /// ≤ best fixed mean latency + the estimator's reported error).
@@ -379,7 +282,7 @@ impl MechanismResults {
         config: MechanismConfig,
         f: impl Fn(&MechanismOutcome) -> f64,
     ) -> f64 {
-        crate::experiments::common::mean_of(
+        mean_of(
             self.records
                 .iter()
                 .filter(|r| r.size == size)

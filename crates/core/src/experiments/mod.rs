@@ -9,22 +9,46 @@
 //! | Figure 7a-c | [`SpatialResults`] | DSS turnaround / fairness / throughput vs FCFS |
 //! | Figure 8 | [`SpatialResults::render_fig8`] | ANTT distribution across workloads |
 //! | (extension) | [`MechanismResults`] | fixed vs adaptive mechanism selection under DSS |
+//! | (extension) | [`RealtimeResults`] | deadline-miss rate of PPQ / GCAPS / EDF |
+//! | (extension) | [`SaturationResults`] | SLO percentiles of an open-arrival service under swept load |
 //!
-//! All harnesses take an [`ExperimentScale`]: `quick()` for smoke runs,
-//! `bench()` for the default `cargo bench` harness and `paper()` for the
-//! full evaluation population.
+//! Every sweep harness is an [`Experiment`], implemented by its results
+//! type. An experiment enumerates its population into a
+//! [`SweepPlan`](crate::sweep::SweepPlan) plus the context its fold needs,
+//! folds each finished run into a small per-scenario value, and aggregates
+//! those values — in scenario-id order — into its results, report and
+//! tables. Each fold value declares its fields once, and its checkpoint
+//! codec and schema entry derive from that declaration.
 //!
-//! Since the sweep refactor, no harness loops over simulations itself:
-//! each one enumerates its population into a
-//! [`SweepPlan`](crate::sweep::SweepPlan) and executes it on a
-//! [`SweepRunner`](crate::sweep::SweepRunner) — `run()` uses a single
-//! worker (bit-identical to the historical sequential loops), `run_with()`
-//! accepts a multi-worker runner and still produces bit-identical results.
-//! Every harness also exposes `report()`, the machine-readable
-//! [`SweepReport`](crate::sweep::SweepReport), and `timing()`, the
-//! per-scenario wall-clock breakdown.
+//! The [`Driver`] runs any experiment, so no harness has entry points of
+//! its own. It owns the isolated-time phase (probes through a shared
+//! [`IsolatedRunCache`], timed as part of the experiment), the
+//! [`SweepExec`](crate::sweep::SweepExec) mode — a full run, one shard that
+//! checkpoints its fold values, or a merge that decodes them — and the
+//! JSONL spill. Results are bit-identical for every worker count and every
+//! mode. [`run`] is the one-call full run for tests and examples:
+//!
+//! ```
+//! use gpreempt::experiments::{self, Experiment, ExperimentScale, Fig2Results};
+//! use gpreempt::sweep::SweepRunner;
+//! use gpreempt::{PolicyKind, SimulatorConfig};
+//!
+//! let config = SimulatorConfig::default();
+//! let fig2: Fig2Results =
+//!     experiments::run(&config, &ExperimentScale::quick(), &SweepRunner::new(2)).unwrap();
+//! let ppq = fig2.timeline(PolicyKind::PpqExclusive).unwrap();
+//! assert!(ppq.k3_start < ppq.k1_finish);
+//! assert_eq!(fig2.report().len(), 3);
+//! ```
+//!
+//! [`EXPERIMENTS`] lists the six sweeps in the order `run_sweep
+//! --experiment all` runs them; the shard schema fingerprint hashes their
+//! schema entries in that order. All harnesses take an [`ExperimentScale`]:
+//! `quick()` for smoke runs, `bench()` for the default `cargo bench`
+//! harness and `paper()` for the full evaluation population.
 
 pub mod common;
+mod driver;
 pub mod fig2;
 pub mod mechanism;
 pub mod priority;
@@ -34,8 +58,12 @@ pub mod spatial;
 pub mod table1;
 
 pub use common::{
-    ci95, config_fingerprint, isolated_times_via, isolated_times_with_cache,
-    simulator_with_mechanism, ExperimentScale, IsolatedRunCache, IsolatedTimes,
+    ci95, config_fingerprint, isolated_times_with_cache, ExperimentScale, IsolatedRunCache,
+    IsolatedTimes, Population,
+};
+pub use driver::{
+    run, schema_fingerprint, select, Driver, Experiment, IsolatedPhase, Registered, SweepOutput,
+    EXPERIMENTS,
 };
 pub use fig2::{Fig2Results, Fig2Timeline};
 pub use mechanism::{MechanismConfig, MechanismOutcome, MechanismRecord, MechanismResults};
@@ -56,7 +84,17 @@ pub use table1::{Table1, Table1Row};
 mod tests {
     use super::*;
     use crate::config::SimulatorConfig;
+    use crate::sweep::SweepRunner;
     use gpreempt_types::KernelClass;
+
+    fn run_sequential<E: Experiment>(scale: &ExperimentScale) -> E {
+        run(
+            &SimulatorConfig::default(),
+            scale,
+            &SweepRunner::sequential(),
+        )
+        .unwrap()
+    }
 
     fn tiny_scale() -> ExperimentScale {
         // Keep debug-mode test time low: two small benchmarks, 2-process
@@ -86,7 +124,7 @@ mod tests {
 
     #[test]
     fn fig2_orders_the_schedulers_as_the_paper_argues() {
-        let results = Fig2Results::run(&SimulatorConfig::default()).unwrap();
+        let results: Fig2Results = run_sequential(&ExperimentScale::quick());
         assert_eq!(results.timelines.len(), 3);
         let fcfs = results.timeline(crate::PolicyKind::Fcfs).unwrap();
         let npq = results.timeline(crate::PolicyKind::Npq).unwrap();
@@ -104,9 +142,7 @@ mod tests {
 
     #[test]
     fn priority_experiment_shows_preemption_benefit() {
-        let config = SimulatorConfig::default();
-        let scale = tiny_scale();
-        let results = PriorityResults::run(&config, &scale).unwrap();
+        let results: PriorityResults = run_sequential(&tiny_scale());
         assert_eq!(results.records().len(), 3); // one workload per benchmark
         for record in results.records() {
             // Preemptive prioritisation should never be (much) worse than
@@ -128,9 +164,7 @@ mod tests {
 
     #[test]
     fn spatial_experiment_produces_all_views() {
-        let config = SimulatorConfig::default();
-        let scale = tiny_scale();
-        let results = SpatialResults::run(&config, &scale).unwrap();
+        let results: SpatialResults = run_sequential(&tiny_scale());
         assert_eq!(results.records().len(), 2);
         for record in results.records() {
             assert_eq!(record.outcomes.len(), SpatialConfig::all().len());
@@ -156,9 +190,7 @@ mod tests {
 
     #[test]
     fn mechanism_ablation_covers_all_selections_and_meets_latency_bound() {
-        let config = SimulatorConfig::default();
-        let scale = tiny_scale();
-        let results = MechanismResults::run(&config, &scale).unwrap();
+        let results: MechanismResults = run_sequential(&tiny_scale());
         assert_eq!(results.records().len(), 2);
         for record in results.records() {
             assert_eq!(record.outcomes.len(), MechanismConfig::all().len());
@@ -200,10 +232,7 @@ mod tests {
 
     #[test]
     fn realtime_experiment_reports_cells_with_confidence_intervals() {
-        let config = SimulatorConfig::default();
-        let mut scale = tiny_scale();
-        scale.workload_sizes = vec![2];
-        let results = RealtimeResults::run(&config, &scale).unwrap();
+        let results: RealtimeResults = run_sequential(&tiny_scale());
         // 1 size x 2 utilizations x 3 policies x 2 latency targets.
         assert_eq!(
             results.cells().len(),
@@ -215,6 +244,7 @@ mod tests {
             assert!((0.0..=1.0).contains(&miss), "miss rate {miss}");
             assert!(ci >= 0.0);
             assert!(cell.points.iter().all(|p| p.completed > 0));
+            assert_eq!(cell.key.size, 2);
             // PPQ never preempts an all-equal-priority workload; the
             // deadline-aware policies do.
             if cell.key.policy == crate::PolicyKind::PpqExclusive {
@@ -231,7 +261,6 @@ mod tests {
         );
         assert_eq!(results.report().len(), results.cells().len());
         assert!(!results.render().is_empty());
-        assert_eq!(results.sizes(), &[2]);
         assert!(results.timing().entries.len() > results.cells().len());
     }
 

@@ -8,18 +8,15 @@
 //! preemption mechanisms and both access modes.
 
 use crate::config::{PolicyKind, SimulatorConfig};
-use crate::experiments::common::{
-    isolated_times_with_cache, mean_of, ExperimentScale, IsolatedRunCache,
-};
-use crate::json::Value;
+use crate::experiments::common::{mean_of, ExperimentScale, Population};
+use crate::experiments::{Experiment, IsolatedPhase};
 use crate::report::{times, TextTable};
 use crate::simulator::SimulationRun;
-use crate::sweep::shard::{dec_f64, enc_f64, field, run_plan_values};
-use crate::sweep::{
-    Scenario, SweepExec, SweepPlan, SweepRecord, SweepReport, SweepRunner, SweepTiming, ValueCodec,
-};
+use crate::sweep::shard::checkpointed;
+use crate::sweep::{Scenario, SweepPlan, SweepRecord, SweepReport, SweepTiming};
 use gpreempt_gpu::{MechanismSelection, PreemptionMechanism};
-use gpreempt_types::{KernelClass, SimError, SimTime};
+use gpreempt_trace::Workload;
+use gpreempt_types::{KernelClass, SimError};
 use std::collections::HashMap;
 
 /// One scheduler configuration evaluated by the prioritisation experiment.
@@ -91,13 +88,16 @@ impl std::fmt::Display for PriorityConfig {
     }
 }
 
-/// The outcome of one workload under one configuration.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PriorityOutcome {
-    /// Normalized turnaround time of the high-priority process.
-    pub ntt_high_priority: f64,
-    /// System throughput of the whole workload.
-    pub stp: f64,
+checkpointed! {
+    /// The outcome of one workload under one configuration.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    pub struct PriorityOutcome {
+        /// Normalized turnaround time of the high-priority process (∞ when
+        /// it starved).
+        pub ntt_high_priority: f64,
+        /// System throughput of the whole workload.
+        pub stp: f64,
+    }
 }
 
 /// The results of one workload across every configuration.
@@ -151,93 +151,31 @@ pub struct PriorityResults {
     timing: SweepTiming,
 }
 
-impl PriorityResults {
-    /// Runs the experiment at the given scale on a single worker (the
-    /// historical sequential behaviour).
-    ///
-    /// # Errors
-    ///
-    /// Propagates any simulation error.
-    pub fn run(config: &SimulatorConfig, scale: &ExperimentScale) -> Result<Self, SimError> {
-        Self::run_with(config, scale, &SweepRunner::sequential())
-    }
+fn high_priority_index(workload: &Workload) -> usize {
+    workload
+        .high_priority_process()
+        .expect("prioritized workloads have a high-priority process")
+        .index()
+}
 
-    /// Runs the experiment at the given scale on `runner`'s workers.
-    /// Results are bit-identical for every worker count: the workload
-    /// population is enumerated sequentially into a [`SweepPlan`] and every
-    /// scenario simulates from its own fresh engine.
-    ///
-    /// # Errors
-    ///
-    /// Propagates any simulation error.
-    pub fn run_with(
+impl Experiment for PriorityResults {
+    const NAME: &'static str = "priority";
+    type Value = PriorityOutcome;
+    type Context = Population;
+
+    /// The prioritized population: every benchmark appears as the
+    /// high-priority process `reps_per_benchmark` times per size, and each
+    /// workload runs under every [`PriorityConfig`].
+    fn enumerate(
         config: &SimulatorConfig,
         scale: &ExperimentScale,
-        runner: &SweepRunner,
-    ) -> Result<Self, SimError> {
-        Self::run_with_cache(config, scale, runner, &IsolatedRunCache::new())
-    }
-
-    /// [`run_with`](Self::run_with) backed by a shared [`IsolatedRunCache`]
-    /// and a streaming main sweep: each [`SimulationRun`] is folded into its
-    /// [`PriorityOutcome`] on the worker and dropped, so memory stays
-    /// O(scenarios).
-    ///
-    /// # Errors
-    ///
-    /// Propagates any simulation error.
-    pub fn run_with_cache(
-        config: &SimulatorConfig,
-        scale: &ExperimentScale,
-        runner: &SweepRunner,
-        cache: &IsolatedRunCache,
-    ) -> Result<Self, SimError> {
-        Ok(
-            Self::run_exec(config, scale, runner, cache, &SweepExec::Full)?
-                .expect("full run yields results"),
-        )
-    }
-
-    /// [`run_with_cache`](Self::run_with_cache) under an explicit execution
-    /// mode. The isolated-time phase runs in every mode (it is cheap,
-    /// cached, and its results are part of the fold's closure); only the
-    /// main workload × configuration sweep is sharded or replayed.
-    ///
-    /// # Errors
-    ///
-    /// Propagates simulation, checkpoint and decode errors.
-    pub fn run_exec(
-        config: &SimulatorConfig,
-        scale: &ExperimentScale,
-        runner: &SweepRunner,
-        cache: &IsolatedRunCache,
-        exec: &SweepExec<'_>,
-    ) -> Result<Option<Self>, SimError> {
-        let mut generator = scale.generator(config);
-        let mut workloads = Vec::new();
-        for &size in &scale.workload_sizes {
-            for workload in generator.prioritized_population(size, scale.reps_per_benchmark) {
-                workloads.push((size, scale.finalize(workload)));
-            }
-        }
-
-        let (isolated, iso_timing) =
-            isolated_times_with_cache(runner, config, workloads.iter().map(|(_, w)| w), cache)?;
-        let iso_per_workload: Vec<Vec<SimTime>> = workloads
-            .iter()
-            .map(|(_, w)| isolated.times_for(w))
-            .collect::<Result<_, _>>()?;
-        let hp_indices: Vec<usize> = workloads
-            .iter()
-            .map(|(_, w)| {
-                w.high_priority_process()
-                    .expect("prioritized workloads have a high-priority process")
-                    .index()
-            })
-            .collect();
-
+        isolated: &mut IsolatedPhase<'_>,
+    ) -> Result<(SweepPlan, Population), SimError> {
+        let population = Population::generate(config, scale, isolated, |generator, size| {
+            generator.prioritized_population(size, scale.reps_per_benchmark)
+        })?;
         let mut plan = SweepPlan::new(config.clone()).with_seed(scale.seed);
-        for (_, workload) in &workloads {
+        for (_, workload) in &population.workloads {
             for cfg in PriorityConfig::all() {
                 let (policy, mechanism) = cfg.policy_and_mechanism();
                 plan.push(
@@ -246,92 +184,54 @@ impl PriorityResults {
                 );
             }
         }
-        let n_cfg = PriorityConfig::all().len();
-        let fold = |scenario: &Scenario, run: SimulationRun| -> Result<PriorityOutcome, SimError> {
-            let w_idx = scenario.id / n_cfg;
-            let metrics = run.metrics(&iso_per_workload[w_idx])?;
-            Ok(PriorityOutcome {
-                ntt_high_priority: metrics.ntt()[hp_indices[w_idx]],
-                stp: metrics.stp(),
+        Ok((plan, population))
+    }
+
+    fn fold(
+        population: &Population,
+        scenario: &Scenario,
+        run: SimulationRun,
+    ) -> Result<PriorityOutcome, SimError> {
+        let isolated = &population.isolated[scenario.id / PriorityConfig::all().len()];
+        let metrics = run.metrics(isolated)?;
+        Ok(PriorityOutcome {
+            ntt_high_priority: metrics.ntt()[high_priority_index(&scenario.workload)],
+            stp: metrics.stp(),
+        })
+    }
+
+    fn aggregate(
+        plan: &SweepPlan,
+        population: Population,
+        values: Vec<PriorityOutcome>,
+        timing: SweepTiming,
+    ) -> Self {
+        let mut values = values.into_iter();
+        let records = population
+            .workloads
+            .iter()
+            .map(|(size, workload)| {
+                let hp_spec = &workload.processes()[high_priority_index(workload)];
+                PriorityRecord {
+                    workload: workload.name().to_string(),
+                    size: *size,
+                    high_priority_benchmark: hp_spec.benchmark.name().to_string(),
+                    class: hp_spec.benchmark.kernel_class(),
+                    outcomes: PriorityConfig::all().into_iter().zip(&mut values).collect(),
+                }
             })
-        };
-        let outcome = run_plan_values(
-            exec,
-            runner,
-            &plan,
-            "priority",
-            &Self::codec(),
-            &fold,
-            &|_, _| Ok(()),
-        )?;
-        let Some(outcome_values) = outcome.values else {
-            return Ok(None);
-        };
-        let timing = iso_timing.merged(outcome.timing);
-
-        let mut values = outcome_values.into_iter();
-        let mut records = Vec::new();
-        for ((size, workload), &hp_index) in workloads.iter().zip(&hp_indices) {
-            let hp_spec = &workload.processes()[hp_index];
-            let mut outcomes = HashMap::new();
-            for cfg in PriorityConfig::all() {
-                let outcome = values.next().expect("one outcome per scenario");
-                outcomes.insert(cfg, outcome);
-            }
-            records.push(PriorityRecord {
-                workload: workload.name().to_string(),
-                size: *size,
-                high_priority_benchmark: hp_spec.benchmark.name().to_string(),
-                class: hp_spec.benchmark.kernel_class(),
-                outcomes,
-            });
-        }
-
-        Ok(Some(PriorityResults {
+            .collect();
+        PriorityResults {
             records,
-            sizes: scale.workload_sizes.clone(),
-            seed: scale.seed,
+            sizes: population.sizes,
+            seed: plan.seed(),
             timing,
-        }))
-    }
-
-    /// Checkpoint codec for one outcome (a starved high-priority NTT can be
-    /// ∞, which [`enc_f64`] preserves through the round trip).
-    fn codec() -> ValueCodec<PriorityOutcome> {
-        fn encode(o: &PriorityOutcome) -> Value {
-            Value::object([
-                ("ntt_high_priority", enc_f64(o.ntt_high_priority)),
-                ("stp", enc_f64(o.stp)),
-            ])
         }
-        fn decode(v: &Value) -> Result<PriorityOutcome, SimError> {
-            Ok(PriorityOutcome {
-                ntt_high_priority: dec_f64(field(v, "ntt_high_priority")?)?,
-                stp: dec_f64(field(v, "stp")?)?,
-            })
-        }
-        ValueCodec { encode, decode }
     }
 
-    /// The per-workload records.
-    pub fn records(&self) -> &[PriorityRecord] {
-        &self.records
-    }
-
-    /// The workload sizes evaluated.
-    pub fn sizes(&self) -> &[usize] {
-        &self.sizes
-    }
-
-    /// Wall-clock timing of the underlying sweep (isolated phase + main
-    /// phase).
-    pub fn timing(&self) -> &SweepTiming {
-        &self.timing
-    }
-
-    /// The machine-readable report: one record per workload ×
-    /// configuration, with the high-priority NTT and the workload STP.
-    pub fn report(&self) -> SweepReport {
+    /// One record per workload × configuration, with the high-priority NTT
+    /// and the workload STP.
+    fn report(&self) -> SweepReport {
         let mut report = SweepReport::new(self.seed);
         for record in &self.records {
             for cfg in PriorityConfig::all() {
@@ -344,6 +244,30 @@ impl PriorityResults {
             }
         }
         report
+    }
+
+    fn tables(&self) -> Vec<TextTable> {
+        vec![
+            self.render_fig5(),
+            self.render_fig6(false),
+            self.render_fig6(true),
+        ]
+    }
+
+    fn timing(&self) -> &SweepTiming {
+        &self.timing
+    }
+}
+
+impl PriorityResults {
+    /// The per-workload records.
+    pub fn records(&self) -> &[PriorityRecord] {
+        &self.records
+    }
+
+    /// The workload sizes evaluated.
+    pub fn sizes(&self) -> &[usize] {
+        &self.sizes
     }
 
     /// Figure 5: mean NTT improvement of the high-priority process over its

@@ -23,17 +23,12 @@
 //! of the 95 % confidence interval.
 
 use crate::config::{PolicyKind, SimulatorConfig};
-use crate::experiments::common::{
-    ci95, isolated_times_with_cache, ExperimentScale, IsolatedRunCache,
-};
-use crate::json::Value;
+use crate::experiments::common::{ci95, ExperimentScale};
+use crate::experiments::{Experiment, IsolatedPhase};
 use crate::report::TextTable;
 use crate::simulator::SimulationRun;
-use crate::sweep::shard::{dec_f64, dec_u64, enc_f64, enc_u64, field, run_plan_values};
-use crate::sweep::{
-    JsonlSink, Scenario, SweepExec, SweepPlan, SweepRecord, SweepReport, SweepRunner, SweepTiming,
-    ValueCodec,
-};
+use crate::sweep::shard::checkpointed;
+use crate::sweep::{Scenario, SweepPlan, SweepRecord, SweepReport, SweepTiming};
 use gpreempt_gpu::{MechanismSelection, PreemptionMechanism};
 use gpreempt_sim::stats;
 use gpreempt_trace::{ProcessSpec, Workload};
@@ -90,23 +85,26 @@ pub struct RealtimeCellKey {
     pub target: LatencyTarget,
 }
 
-/// The outcome of one scenario (one seed of one cell).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RealtimePoint {
-    /// Workload-level deadline-miss rate.
-    pub miss_rate: f64,
-    /// Mean response time over every completed execution, in µs.
-    pub mean_response_us: f64,
-    /// Largest overshoot past any deadline, in µs.
-    pub max_tardiness_us: f64,
-    /// Completed executions.
-    pub completed: u64,
-    /// Missed executions (including synthetic misses of starved processes).
-    pub missed: u64,
-    /// Preemptions the policy requested.
-    pub preemptions: u64,
-    /// Mean preemption latency, in µs.
-    pub mean_preempt_latency_us: f64,
+checkpointed! {
+    /// The outcome of one scenario (one seed of one cell).
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    pub struct RealtimePoint {
+        /// Workload-level deadline-miss rate.
+        pub miss_rate: f64,
+        /// Mean response time over every completed execution, in µs.
+        pub mean_response_us: f64,
+        /// Largest overshoot past any deadline, in µs.
+        pub max_tardiness_us: f64,
+        /// Completed executions.
+        pub completed: u64,
+        /// Missed executions (including synthetic misses of starved
+        /// processes).
+        pub missed: u64,
+        /// Preemptions the policy requested.
+        pub preemptions: u64,
+        /// Mean preemption latency, in µs.
+        pub mean_preempt_latency_us: f64,
+    }
 }
 
 /// One cell of the sweep: a [`RealtimeCellKey`] plus statistics over its
@@ -159,88 +157,25 @@ impl RealtimeCell {
 #[derive(Debug, Clone)]
 pub struct RealtimeResults {
     cells: Vec<RealtimeCell>,
-    sizes: Vec<usize>,
     seed: u64,
     timing: SweepTiming,
 }
 
-impl RealtimeResults {
-    /// Runs the experiment at the given scale on a single worker.
-    ///
-    /// # Errors
-    ///
-    /// Propagates any simulation error.
-    pub fn run(config: &SimulatorConfig, scale: &ExperimentScale) -> Result<Self, SimError> {
-        Self::run_with(config, scale, &SweepRunner::sequential())
-    }
+impl Experiment for RealtimeResults {
+    const NAME: &'static str = "realtime";
+    type Value = RealtimePoint;
+    type Context = Vec<RealtimeCellKey>;
+    const SCENARIO_RECORD: Option<fn(&Scenario, &RealtimePoint) -> SweepRecord> =
+        Some(point_record);
 
-    /// Runs the experiment on `runner`'s workers; results are bit-identical
-    /// for every worker count.
-    ///
-    /// # Errors
-    ///
-    /// Propagates any simulation error.
-    pub fn run_with(
+    /// One benchmark mix per size, annotated with deadlines per
+    /// utilization, under every policy × latency target × seed replicate.
+    /// The context is the cell keys, one per [`N_SEEDS`] scenarios.
+    fn enumerate(
         config: &SimulatorConfig,
         scale: &ExperimentScale,
-        runner: &SweepRunner,
-    ) -> Result<Self, SimError> {
-        Self::run_streaming(config, scale, runner, &IsolatedRunCache::new(), None)
-    }
-
-    /// [`run_with`](Self::run_with) backed by a shared [`IsolatedRunCache`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates any simulation error.
-    pub fn run_with_cache(
-        config: &SimulatorConfig,
-        scale: &ExperimentScale,
-        runner: &SweepRunner,
-        cache: &IsolatedRunCache,
-    ) -> Result<Self, SimError> {
-        Self::run_streaming(config, scale, runner, cache, None)
-    }
-
-    /// The full streaming form: isolated times come from (and feed) the
-    /// shared `cache`, the main sweep folds each run into a
-    /// [`RealtimePoint`] on its worker, and — when `sink` is given — every
-    /// scenario's record is appended to the JSONL sink the moment it
-    /// completes, in completion order.
-    ///
-    /// # Errors
-    ///
-    /// Propagates any simulation or sink I/O error.
-    pub fn run_streaming(
-        config: &SimulatorConfig,
-        scale: &ExperimentScale,
-        runner: &SweepRunner,
-        cache: &IsolatedRunCache,
-        sink: Option<&JsonlSink>,
-    ) -> Result<Self, SimError> {
-        Ok(
-            Self::run_exec(config, scale, runner, cache, sink, &SweepExec::Full)?
-                .expect("full run yields results"),
-        )
-    }
-
-    /// [`run_streaming`](Self::run_streaming) under an explicit execution
-    /// mode: a shard run checkpoints points (the sink tap is skipped — the
-    /// checkpoint is the shard's only output) and returns `None`; a merge
-    /// decodes the points, replays the sink tap in scenario-id order, and
-    /// aggregates exactly like a full run.
-    ///
-    /// # Errors
-    ///
-    /// Propagates simulation, sink I/O, checkpoint and decode errors.
-    pub fn run_exec(
-        config: &SimulatorConfig,
-        scale: &ExperimentScale,
-        runner: &SweepRunner,
-        cache: &IsolatedRunCache,
-        sink: Option<&JsonlSink>,
-        exec: &SweepExec<'_>,
-    ) -> Result<Option<Self>, SimError> {
+        isolated: &mut IsolatedPhase<'_>,
+    ) -> Result<(SweepPlan, Vec<RealtimeCellKey>), SimError> {
         // One benchmark mix per workload size (drawn once, shared by every
         // utilization level so the axes stay orthogonal).
         let mut generator = scale.generator(config);
@@ -249,9 +184,7 @@ impl RealtimeResults {
             .iter()
             .map(|&size| (size, generator.random_workload(size)))
             .collect();
-
-        let (isolated, iso_timing) =
-            isolated_times_with_cache(runner, config, mixes.iter().map(|(_, w)| w), cache)?;
+        let isolated = isolated.times(mixes.iter().map(|(_, w)| w))?;
 
         // Deadline-annotated workloads: deadline_i = iso_i * size / u.
         let mut cell_keys: Vec<RealtimeCellKey> = Vec::new();
@@ -300,99 +233,88 @@ impl RealtimeResults {
         // N-seed replication: every scenario gets its own engine-RNG stream
         // derived from the plan seed and its id.
         plan.assign_derived_seeds();
+        Ok((plan, cell_keys))
+    }
 
-        let fold = |scenario: &Scenario, run: SimulationRun| -> Result<RealtimePoint, SimError> {
-            let rt = run.rt_metrics(&scenario.workload);
-            let stats = run.engine_stats();
-            Ok(RealtimePoint {
-                miss_rate: rt.miss_rate(),
-                mean_response_us: rt.mean_response().as_micros_f64(),
-                max_tardiness_us: rt.max_tardiness().as_micros_f64(),
-                completed: rt.completed(),
-                missed: rt.missed(),
-                preemptions: stats.preemptions,
-                mean_preempt_latency_us: stats.mean_preemption_latency().as_micros_f64(),
-            })
-        };
-        let tap = |scenario: &Scenario, point: &RealtimePoint| -> Result<(), SimError> {
-            let Some(sink) = sink else { return Ok(()) };
-            sink.append(&point_record(
-                scenario.workload.name(),
-                &scenario.label,
-                scenario.size(),
-                point,
-            ))
-        };
-        let outcome =
-            run_plan_values(exec, runner, &plan, "realtime", &Self::codec(), &fold, &tap)?;
-        let Some(values) = outcome.values else {
-            return Ok(None);
-        };
-        let timing = iso_timing.merged(outcome.timing);
+    fn fold(
+        _: &Vec<RealtimeCellKey>,
+        scenario: &Scenario,
+        run: SimulationRun,
+    ) -> Result<RealtimePoint, SimError> {
+        let rt = run.rt_metrics(&scenario.workload);
+        let stats = run.engine_stats();
+        Ok(RealtimePoint {
+            miss_rate: rt.miss_rate(),
+            mean_response_us: rt.mean_response().as_micros_f64(),
+            max_tardiness_us: rt.max_tardiness().as_micros_f64(),
+            completed: rt.completed(),
+            missed: rt.missed(),
+            preemptions: stats.preemptions,
+            mean_preempt_latency_us: stats.mean_preemption_latency().as_micros_f64(),
+        })
+    }
 
+    fn aggregate(
+        plan: &SweepPlan,
+        cell_keys: Vec<RealtimeCellKey>,
+        values: Vec<RealtimePoint>,
+        timing: SweepTiming,
+    ) -> Self {
         let mut points = values.into_iter();
         let cells = cell_keys
             .into_iter()
             .map(|key| RealtimeCell {
                 key,
-                points: (0..N_SEEDS)
-                    .map(|_| points.next().expect("one point per scenario"))
-                    .collect(),
+                points: points.by_ref().take(N_SEEDS).collect(),
             })
             .collect();
-
-        Ok(Some(RealtimeResults {
+        RealtimeResults {
             cells,
-            sizes: scale.workload_sizes.clone(),
-            seed: scale.seed,
+            seed: plan.seed(),
             timing,
-        }))
+        }
     }
 
-    /// Checkpoint codec for one point: rates and µs metrics as exact
-    /// floats, counters as exact integers.
-    fn codec() -> ValueCodec<RealtimePoint> {
-        fn encode(p: &RealtimePoint) -> Value {
-            Value::object([
-                ("miss_rate", enc_f64(p.miss_rate)),
-                ("mean_response_us", enc_f64(p.mean_response_us)),
-                ("max_tardiness_us", enc_f64(p.max_tardiness_us)),
-                ("completed", enc_u64(p.completed)),
-                ("missed", enc_u64(p.missed)),
-                ("preemptions", enc_u64(p.preemptions)),
-                (
-                    "mean_preempt_latency_us",
-                    enc_f64(p.mean_preempt_latency_us),
-                ),
-            ])
+    /// One record per cell, carrying the mean ± CI of each metric plus the
+    /// replicate count.
+    fn report(&self) -> SweepReport {
+        let mut report = SweepReport::new(self.seed);
+        for cell in &self.cells {
+            let (miss, miss_ci) = cell.miss_rate();
+            let (resp, resp_ci) = cell.mean_response_us();
+            report.push(
+                SweepRecord::new(
+                    "realtime",
+                    &cell.key.workload,
+                    format!("{} {}", cell.key.policy.label(), cell.key.target.label()),
+                    cell.key.size,
+                )
+                .with_value("utilization", cell.key.utilization)
+                .with_value("miss_rate", miss)
+                .with_value("miss_rate_ci95", miss_ci)
+                .with_value("mean_response_us", resp)
+                .with_value("mean_response_us_ci95", resp_ci)
+                .with_value("max_tardiness_us", cell.max_tardiness_us())
+                .with_value("preemptions", cell.mean_preemptions())
+                .with_value("n_seeds", cell.points.len() as f64),
+            );
         }
-        fn decode(v: &Value) -> Result<RealtimePoint, SimError> {
-            Ok(RealtimePoint {
-                miss_rate: dec_f64(field(v, "miss_rate")?)?,
-                mean_response_us: dec_f64(field(v, "mean_response_us")?)?,
-                max_tardiness_us: dec_f64(field(v, "max_tardiness_us")?)?,
-                completed: dec_u64(field(v, "completed")?)?,
-                missed: dec_u64(field(v, "missed")?)?,
-                preemptions: dec_u64(field(v, "preemptions")?)?,
-                mean_preempt_latency_us: dec_f64(field(v, "mean_preempt_latency_us")?)?,
-            })
-        }
-        ValueCodec { encode, decode }
+        report
     }
 
+    fn tables(&self) -> Vec<TextTable> {
+        vec![self.render()]
+    }
+
+    fn timing(&self) -> &SweepTiming {
+        &self.timing
+    }
+}
+
+impl RealtimeResults {
     /// The per-cell results, in enumeration order.
     pub fn cells(&self) -> &[RealtimeCell] {
         &self.cells
-    }
-
-    /// The workload sizes evaluated.
-    pub fn sizes(&self) -> &[usize] {
-        &self.sizes
-    }
-
-    /// Wall-clock timing of the underlying sweep (isolated + main phase).
-    pub fn timing(&self) -> &SweepTiming {
-        &self.timing
     }
 
     /// The cell for a (size, utilization, policy, target) combination.
@@ -428,33 +350,6 @@ impl RealtimeResults {
                 )
                 .is_some_and(|ppq| gcaps.miss_rate().0 < ppq.miss_rate().0)
             })
-    }
-
-    /// The machine-readable report: one record per cell, carrying the
-    /// mean ± CI of each metric plus the replicate count.
-    pub fn report(&self) -> SweepReport {
-        let mut report = SweepReport::new(self.seed);
-        for cell in &self.cells {
-            let (miss, miss_ci) = cell.miss_rate();
-            let (resp, resp_ci) = cell.mean_response_us();
-            report.push(
-                SweepRecord::new(
-                    "realtime",
-                    &cell.key.workload,
-                    format!("{} {}", cell.key.policy.label(), cell.key.target.label()),
-                    cell.key.size,
-                )
-                .with_value("utilization", cell.key.utilization)
-                .with_value("miss_rate", miss)
-                .with_value("miss_rate_ci95", miss_ci)
-                .with_value("mean_response_us", resp)
-                .with_value("mean_response_us_ci95", resp_ci)
-                .with_value("max_tardiness_us", cell.max_tardiness_us())
-                .with_value("preemptions", cell.mean_preemptions())
-                .with_value("n_seeds", cell.points.len() as f64),
-            );
-        }
-        report
     }
 
     /// Renders the sweep as a table: one row per cell with mean ± CI
@@ -502,13 +397,18 @@ impl RealtimeResults {
 
 /// The per-scenario record streamed to the JSONL sink: one seed's raw
 /// outcome, identified by workload and scenario label.
-fn point_record(workload: &str, label: &str, size: usize, point: &RealtimePoint) -> SweepRecord {
-    SweepRecord::new("realtime", workload, label, size)
-        .with_value("miss_rate", point.miss_rate)
-        .with_value("mean_response_us", point.mean_response_us)
-        .with_value("max_tardiness_us", point.max_tardiness_us)
-        .with_value("completed", point.completed as f64)
-        .with_value("missed", point.missed as f64)
-        .with_value("preemptions", point.preemptions as f64)
-        .with_value("mean_preempt_latency_us", point.mean_preempt_latency_us)
+fn point_record(scenario: &Scenario, point: &RealtimePoint) -> SweepRecord {
+    SweepRecord::new(
+        "realtime",
+        scenario.workload.name(),
+        &scenario.label,
+        scenario.size(),
+    )
+    .with_value("miss_rate", point.miss_rate)
+    .with_value("mean_response_us", point.mean_response_us)
+    .with_value("max_tardiness_us", point.max_tardiness_us)
+    .with_value("completed", point.completed as f64)
+    .with_value("missed", point.missed as f64)
+    .with_value("preemptions", point.preemptions as f64)
+    .with_value("mean_preempt_latency_us", point.mean_preempt_latency_us)
 }

@@ -22,17 +22,12 @@
 //! families knee earlier at the same mean load).
 
 use crate::config::{PolicyKind, SimulatorConfig};
-use crate::experiments::common::{
-    ci95, isolated_times_with_cache, ExperimentScale, IsolatedRunCache,
-};
-use crate::json::Value;
+use crate::experiments::common::{ci95, ExperimentScale};
+use crate::experiments::{Experiment, IsolatedPhase};
 use crate::report::TextTable;
 use crate::simulator::SimulationRun;
-use crate::sweep::shard::{dec_f64, dec_u64, enc_f64, enc_u64, field, run_plan_values};
-use crate::sweep::{
-    JsonlSink, Scenario, SweepExec, SweepPlan, SweepRecord, SweepReport, SweepRunner, SweepTiming,
-    ValueCodec,
-};
+use crate::sweep::shard::checkpointed;
+use crate::sweep::{Scenario, SweepPlan, SweepRecord, SweepReport, SweepTiming};
 use gpreempt_gpu::{MechanismSelection, PreemptionMechanism};
 use gpreempt_sim::stats;
 use gpreempt_trace::{ProcessSpec, Workload};
@@ -85,7 +80,7 @@ pub enum ArrivalFamily {
     /// Jittered periodic: gaps uniform in `[0.8g, 1.2g]` (period `0.8g`,
     /// jitter `0.5`), mean `g` with bounded variance.
     Sporadic,
-    /// On/off: [`BURST_LEN`] releases `g/4` apart, then idle until the
+    /// On/off: `BURST_LEN` releases `g/4` apart, then idle until the
     /// cycle spans `BURST_LEN × g` — the mean rate matches, but the
     /// instantaneous in-burst rate is 4× it.
     Bursty,
@@ -140,35 +135,37 @@ pub struct SaturationCellKey {
     pub mechanism: PreemptionMechanism,
 }
 
-/// The outcome of one scenario (one seed of one cell).
-#[derive(Debug, Clone, PartialEq)]
-pub struct SaturationPoint {
-    /// Requests released across the workload.
-    pub released: u64,
-    /// Requests shed at the admission gate.
-    pub shed: u64,
-    /// Requests completed.
-    pub completed: u64,
-    /// Workload-level shed rate in `[0, 1]`.
-    pub shed_rate: f64,
-    /// Pooled median response time (µs); NaN when nothing completed.
-    pub p50_us: f64,
-    /// Pooled p99 response time (µs).
-    pub p99_us: f64,
-    /// Pooled p99.9 response time (µs).
-    pub p999_us: f64,
-    /// Mean over processes of the time-weighted mean backlog depth.
-    pub mean_queue_depth: f64,
-    /// Deepest backlog any process reached.
-    pub max_queue_depth: u32,
-    /// Completed requests per second of simulated time.
-    pub throughput_per_sec: f64,
-    /// Preemptions the policy requested.
-    pub preemptions: u64,
-    /// Per-process queue-depth samples at the scale's `depth_trace`
-    /// interval; one (possibly empty) trace per process. Empty vectors
-    /// (tracing off) cost nothing and are omitted from JSONL records.
-    pub depth_traces: Vec<Vec<u32>>,
+checkpointed! {
+    /// The outcome of one scenario (one seed of one cell).
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct SaturationPoint {
+        /// Requests released across the workload.
+        pub released: u64,
+        /// Requests shed at the admission gate.
+        pub shed: u64,
+        /// Requests completed.
+        pub completed: u64,
+        /// Workload-level shed rate in `[0, 1]`.
+        pub shed_rate: f64,
+        /// Pooled median response time (µs); NaN when nothing completed.
+        pub p50_us: f64,
+        /// Pooled p99 response time (µs).
+        pub p99_us: f64,
+        /// Pooled p99.9 response time (µs).
+        pub p999_us: f64,
+        /// Mean over processes of the time-weighted mean backlog depth.
+        pub mean_queue_depth: f64,
+        /// Deepest backlog any process reached.
+        pub max_queue_depth: u32,
+        /// Completed requests per second of simulated time.
+        pub throughput_per_sec: f64,
+        /// Preemptions the policy requested.
+        pub preemptions: u64,
+        /// Per-process queue-depth samples at the scale's `depth_trace`
+        /// interval; one (possibly empty) trace per process. Empty vectors
+        /// (tracing off) cost nothing and are omitted from JSONL records.
+        pub depth_traces: Vec<Vec<u32>>,
+    }
 }
 
 /// One cell of the sweep: a [`SaturationCellKey`] plus statistics over its
@@ -221,70 +218,22 @@ pub struct SaturationResults {
     timing: SweepTiming,
 }
 
-impl SaturationResults {
-    /// Runs the experiment at the given scale on a single worker.
-    ///
-    /// # Errors
-    ///
-    /// Propagates any simulation error.
-    pub fn run(config: &SimulatorConfig, scale: &ExperimentScale) -> Result<Self, SimError> {
-        Self::run_with(config, scale, &SweepRunner::sequential())
-    }
+impl Experiment for SaturationResults {
+    const NAME: &'static str = "saturation";
+    type Value = SaturationPoint;
+    type Context = Vec<SaturationCellKey>;
+    const SCENARIO_RECORD: Option<fn(&Scenario, &SaturationPoint) -> SweepRecord> =
+        Some(point_record);
 
-    /// Runs the experiment on `runner`'s workers; results are bit-identical
-    /// for every worker count.
-    ///
-    /// # Errors
-    ///
-    /// Propagates any simulation error.
-    pub fn run_with(
+    /// The scale pool's first benchmark as a service of every size, under
+    /// every ρ × arrival family × policy × mechanism × seed replicate, each
+    /// run to a fixed horizon. The context is the cell keys, one per
+    /// [`N_SEEDS`] scenarios.
+    fn enumerate(
         config: &SimulatorConfig,
         scale: &ExperimentScale,
-        runner: &SweepRunner,
-    ) -> Result<Self, SimError> {
-        Self::run_streaming(config, scale, runner, &IsolatedRunCache::new(), None)
-    }
-
-    /// The full streaming form: isolated times come from (and feed) the
-    /// shared `cache`, every scenario is folded into a [`SaturationPoint`]
-    /// on its worker, and — when `sink` is given — each point is appended
-    /// to the JSONL sink the moment it completes.
-    ///
-    /// # Errors
-    ///
-    /// Propagates any simulation or sink I/O error.
-    pub fn run_streaming(
-        config: &SimulatorConfig,
-        scale: &ExperimentScale,
-        runner: &SweepRunner,
-        cache: &IsolatedRunCache,
-        sink: Option<&JsonlSink>,
-    ) -> Result<Self, SimError> {
-        Ok(
-            Self::run_exec(config, scale, runner, cache, sink, &SweepExec::Full)?
-                .expect("full run yields results"),
-        )
-    }
-
-    /// [`run_streaming`](Self::run_streaming) under an explicit execution
-    /// mode. A shard run checkpoints each [`SaturationPoint`] and returns
-    /// `None` (the sink tap is skipped — the checkpoint is the shard's only
-    /// output); a merge decodes the points in scenario-id order, replays
-    /// the sink tap, and aggregates exactly like a full run. The isolated
-    /// probe runs in every mode: it is cheap, cached, and the arrival gaps
-    /// derive from it.
-    ///
-    /// # Errors
-    ///
-    /// Propagates simulation, sink I/O, checkpoint and decode errors.
-    pub fn run_exec(
-        config: &SimulatorConfig,
-        scale: &ExperimentScale,
-        runner: &SweepRunner,
-        cache: &IsolatedRunCache,
-        sink: Option<&JsonlSink>,
-        exec: &SweepExec<'_>,
-    ) -> Result<Option<Self>, SimError> {
+        isolated: &mut IsolatedPhase<'_>,
+    ) -> Result<(SweepPlan, Vec<SaturationCellKey>), SimError> {
         // One service benchmark, replicated per process: the first of the
         // scale's pool (deterministic order). The arrival gaps are derived
         // from its isolated time, so measure that first.
@@ -296,9 +245,7 @@ impl SaturationResults {
             "saturation-probe",
             vec![ProcessSpec::new(benchmark.clone())],
         );
-        let (isolated, iso_timing) =
-            isolated_times_with_cache(runner, config, std::iter::once(&probe), cache)?;
-        let iso = isolated.times_for(&probe)?[0];
+        let iso = isolated.times([&probe])?.times_for(&probe)?[0];
 
         let mut cell_keys: Vec<SaturationCellKey> = Vec::new();
         let mut plan = SweepPlan::new(config.clone()).with_seed(scale.seed);
@@ -355,161 +302,112 @@ impl SaturationResults {
         }
         // Independent arrival + jitter streams per replicate.
         plan.assign_derived_seeds();
+        Ok((plan, cell_keys))
+    }
 
-        let fold =
-            |_scenario: &Scenario, run: SimulationRun| -> Result<SaturationPoint, SimError> {
-                let slo = run.slo_metrics();
-                let per = slo.per_process();
-                let mean_queue_depth = stats::mean(
-                    &per.iter()
-                        .map(|p| p.counts.mean_queue_depth)
-                        .collect::<Vec<_>>(),
-                );
-                let max_queue_depth = per
-                    .iter()
-                    .map(|p| p.counts.max_queue_depth)
-                    .max()
-                    .unwrap_or(0);
-                Ok(SaturationPoint {
-                    released: slo.released(),
-                    shed: slo.shed(),
-                    completed: slo.completed(),
-                    shed_rate: slo.shed_rate(),
-                    p50_us: slo.p50_us(),
-                    p99_us: slo.p99_us(),
-                    p999_us: slo.p999_us(),
-                    mean_queue_depth,
-                    max_queue_depth,
-                    throughput_per_sec: slo.throughput_per_sec(),
-                    preemptions: run.engine_stats().preemptions,
-                    depth_traces: run
-                        .arrival_stats()
-                        .iter()
-                        .map(|s| s.depth_samples.clone())
-                        .collect(),
-                })
-            };
-        let tap = |scenario: &Scenario, point: &SaturationPoint| -> Result<(), SimError> {
-            let Some(sink) = sink else { return Ok(()) };
-            sink.append(&point_record(
-                scenario.workload.name(),
-                &scenario.label,
-                scenario.size(),
-                point,
-            ))
-        };
-        let outcome = run_plan_values(
-            exec,
-            runner,
-            &plan,
-            "saturation",
-            &Self::codec(),
-            &fold,
-            &tap,
-        )?;
-        let Some(values) = outcome.values else {
-            return Ok(None);
-        };
-        let timing = iso_timing.merged(outcome.timing);
+    fn fold(
+        _: &Vec<SaturationCellKey>,
+        _: &Scenario,
+        run: SimulationRun,
+    ) -> Result<SaturationPoint, SimError> {
+        let slo = run.slo_metrics();
+        let per = slo.per_process();
+        let mean_queue_depth = stats::mean(
+            &per.iter()
+                .map(|p| p.counts.mean_queue_depth)
+                .collect::<Vec<_>>(),
+        );
+        let max_queue_depth = per
+            .iter()
+            .map(|p| p.counts.max_queue_depth)
+            .max()
+            .unwrap_or(0);
+        Ok(SaturationPoint {
+            released: slo.released(),
+            shed: slo.shed(),
+            completed: slo.completed(),
+            shed_rate: slo.shed_rate(),
+            p50_us: slo.p50_us(),
+            p99_us: slo.p99_us(),
+            p999_us: slo.p999_us(),
+            mean_queue_depth,
+            max_queue_depth,
+            throughput_per_sec: slo.throughput_per_sec(),
+            preemptions: run.engine_stats().preemptions,
+            depth_traces: run
+                .arrival_stats()
+                .iter()
+                .map(|s| s.depth_samples.clone())
+                .collect(),
+        })
+    }
 
+    fn aggregate(
+        plan: &SweepPlan,
+        cell_keys: Vec<SaturationCellKey>,
+        values: Vec<SaturationPoint>,
+        timing: SweepTiming,
+    ) -> Self {
         let mut points = values.into_iter();
         let cells = cell_keys
             .into_iter()
             .map(|key| SaturationCell {
                 key,
-                points: (0..N_SEEDS)
-                    .map(|_| points.next().expect("one point per scenario"))
-                    .collect(),
+                points: points.by_ref().take(N_SEEDS).collect(),
             })
             .collect();
-
-        Ok(Some(SaturationResults {
+        SaturationResults {
             cells,
-            seed: scale.seed,
+            seed: plan.seed(),
             timing,
-        }))
+        }
     }
 
-    /// Checkpoint codec for one [`SaturationPoint`]. Counters travel as
-    /// exact integers, SLO metrics as f64 (NaN — "nothing completed" — and
-    /// infinities survive the round trip), depth traces as arrays of
-    /// per-process sample arrays.
-    fn codec() -> ValueCodec<SaturationPoint> {
-        fn encode(p: &SaturationPoint) -> Value {
-            Value::object([
-                ("released", enc_u64(p.released)),
-                ("shed", enc_u64(p.shed)),
-                ("completed", enc_u64(p.completed)),
-                ("shed_rate", enc_f64(p.shed_rate)),
-                ("p50_us", enc_f64(p.p50_us)),
-                ("p99_us", enc_f64(p.p99_us)),
-                ("p999_us", enc_f64(p.p999_us)),
-                ("mean_queue_depth", enc_f64(p.mean_queue_depth)),
-                ("max_queue_depth", enc_u64(u64::from(p.max_queue_depth))),
-                ("throughput_per_sec", enc_f64(p.throughput_per_sec)),
-                ("preemptions", enc_u64(p.preemptions)),
-                (
-                    "depth_traces",
-                    Value::Array(
-                        p.depth_traces
-                            .iter()
-                            .map(|trace| {
-                                Value::Array(
-                                    trace.iter().map(|&d| Value::from(u64::from(d))).collect(),
-                                )
-                            })
-                            .collect(),
-                    ),
-                ),
-            ])
+    /// One record per cell, carrying mean ± CI of each SLO metric plus the
+    /// replicate count.
+    fn report(&self) -> SweepReport {
+        let mut report = SweepReport::new(self.seed);
+        for cell in &self.cells {
+            let (p50, p50_ci) = cell.p50_us();
+            let (p99, p99_ci) = cell.p99_us();
+            let (shed, shed_ci) = cell.shed_rate();
+            let (thru, thru_ci) = cell.throughput();
+            report.push(
+                SweepRecord::new(
+                    "saturation",
+                    &cell.key.workload,
+                    format!("{} {:?}", cell.key.policy.label(), cell.key.mechanism),
+                    cell.key.size,
+                )
+                .with_value("rho", cell.key.rho)
+                .with_value("p50_us", p50)
+                .with_value("p50_us_ci95", p50_ci)
+                .with_value("p99_us", p99)
+                .with_value("p99_us_ci95", p99_ci)
+                .with_value("shed_rate", shed)
+                .with_value("shed_rate_ci95", shed_ci)
+                .with_value("throughput_per_sec", thru)
+                .with_value("throughput_per_sec_ci95", thru_ci)
+                .with_value("mean_queue_depth", cell.mean_queue_depth())
+                .with_value("n_seeds", cell.points.len() as f64),
+            );
         }
-        fn decode(v: &Value) -> Result<SaturationPoint, SimError> {
-            let depth_traces = field(v, "depth_traces")?
-                .as_array()
-                .ok_or_else(|| SimError::internal("depth_traces is not an array"))?
-                .iter()
-                .map(|trace| {
-                    trace
-                        .as_array()
-                        .ok_or_else(|| SimError::internal("depth trace is not an array"))?
-                        .iter()
-                        .map(|sample| {
-                            dec_u64(sample).and_then(|d| {
-                                u32::try_from(d).map_err(|_| {
-                                    SimError::internal("depth sample exceeds u32 range")
-                                })
-                            })
-                        })
-                        .collect::<Result<Vec<u32>, SimError>>()
-                })
-                .collect::<Result<Vec<_>, SimError>>()?;
-            Ok(SaturationPoint {
-                released: dec_u64(field(v, "released")?)?,
-                shed: dec_u64(field(v, "shed")?)?,
-                completed: dec_u64(field(v, "completed")?)?,
-                shed_rate: dec_f64(field(v, "shed_rate")?)?,
-                p50_us: dec_f64(field(v, "p50_us")?)?,
-                p99_us: dec_f64(field(v, "p99_us")?)?,
-                p999_us: dec_f64(field(v, "p999_us")?)?,
-                mean_queue_depth: dec_f64(field(v, "mean_queue_depth")?)?,
-                max_queue_depth: u32::try_from(dec_u64(field(v, "max_queue_depth")?)?)
-                    .map_err(|_| SimError::internal("max_queue_depth exceeds u32 range"))?,
-                throughput_per_sec: dec_f64(field(v, "throughput_per_sec")?)?,
-                preemptions: dec_u64(field(v, "preemptions")?)?,
-                depth_traces,
-            })
-        }
-        ValueCodec { encode, decode }
+        report
     }
 
+    fn tables(&self) -> Vec<TextTable> {
+        vec![self.render()]
+    }
+
+    fn timing(&self) -> &SweepTiming {
+        &self.timing
+    }
+}
+
+impl SaturationResults {
     /// The per-cell results, in enumeration order.
     pub fn cells(&self) -> &[SaturationCell] {
         &self.cells
-    }
-
-    /// Wall-clock timing of the underlying sweep (isolated + main phase).
-    pub fn timing(&self) -> &SweepTiming {
-        &self.timing
     }
 
     /// The cells of one `(size, arrival, policy, mechanism)` combination,
@@ -583,38 +481,6 @@ impl SaturationResults {
                 })
     }
 
-    /// The machine-readable report: one record per cell, carrying
-    /// mean ± CI of each SLO metric plus the replicate count.
-    pub fn report(&self) -> SweepReport {
-        let mut report = SweepReport::new(self.seed);
-        for cell in &self.cells {
-            let (p50, p50_ci) = cell.p50_us();
-            let (p99, p99_ci) = cell.p99_us();
-            let (shed, shed_ci) = cell.shed_rate();
-            let (thru, thru_ci) = cell.throughput();
-            report.push(
-                SweepRecord::new(
-                    "saturation",
-                    &cell.key.workload,
-                    format!("{} {:?}", cell.key.policy.label(), cell.key.mechanism),
-                    cell.key.size,
-                )
-                .with_value("rho", cell.key.rho)
-                .with_value("p50_us", p50)
-                .with_value("p50_us_ci95", p50_ci)
-                .with_value("p99_us", p99)
-                .with_value("p99_us_ci95", p99_ci)
-                .with_value("shed_rate", shed)
-                .with_value("shed_rate_ci95", shed_ci)
-                .with_value("throughput_per_sec", thru)
-                .with_value("throughput_per_sec_ci95", thru_ci)
-                .with_value("mean_queue_depth", cell.mean_queue_depth())
-                .with_value("n_seeds", cell.points.len() as f64),
-            );
-        }
-        report
-    }
-
     /// Renders the sweep as a table: one row per cell. Latency columns of
     /// cells that completed nothing render as `-` (NaN sentinel), never a
     /// fake zero.
@@ -671,19 +537,24 @@ impl SaturationResults {
 
 /// The per-scenario record streamed to the JSONL sink: one seed's raw
 /// outcome, identified by workload and scenario label.
-fn point_record(workload: &str, label: &str, size: usize, point: &SaturationPoint) -> SweepRecord {
-    let mut record = SweepRecord::new("saturation", workload, label, size)
-        .with_value("released", point.released as f64)
-        .with_value("shed", point.shed as f64)
-        .with_value("completed", point.completed as f64)
-        .with_value("shed_rate", point.shed_rate)
-        .with_value("p50_us", point.p50_us)
-        .with_value("p99_us", point.p99_us)
-        .with_value("p999_us", point.p999_us)
-        .with_value("mean_queue_depth", point.mean_queue_depth)
-        .with_value("max_queue_depth", point.max_queue_depth as f64)
-        .with_value("throughput_per_sec", point.throughput_per_sec)
-        .with_value("preemptions", point.preemptions as f64);
+fn point_record(scenario: &Scenario, point: &SaturationPoint) -> SweepRecord {
+    let mut record = SweepRecord::new(
+        "saturation",
+        scenario.workload.name(),
+        &scenario.label,
+        scenario.size(),
+    )
+    .with_value("released", point.released as f64)
+    .with_value("shed", point.shed as f64)
+    .with_value("completed", point.completed as f64)
+    .with_value("shed_rate", point.shed_rate)
+    .with_value("p50_us", point.p50_us)
+    .with_value("p99_us", point.p99_us)
+    .with_value("p999_us", point.p999_us)
+    .with_value("mean_queue_depth", point.mean_queue_depth)
+    .with_value("max_queue_depth", point.max_queue_depth as f64)
+    .with_value("throughput_per_sec", point.throughput_per_sec)
+    .with_value("preemptions", point.preemptions as f64);
     for (i, trace) in point.depth_traces.iter().enumerate() {
         record = record.with_series(format!("depth_{i}"), trace.clone());
     }
@@ -693,12 +564,14 @@ fn point_record(workload: &str, label: &str, size: usize, point: &SaturationPoin
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sweep::SweepRunner;
 
     #[test]
     fn quick_sweep_locates_the_latency_throughput_knee() {
         let config = SimulatorConfig::default();
         let scale = ExperimentScale::quick().with_sizes(vec![2]);
-        let results = SaturationResults::run(&config, &scale).unwrap();
+        let results: SaturationResults =
+            crate::experiments::run(&config, &scale, &SweepRunner::sequential()).unwrap();
         assert_eq!(
             results.cells().len(),
             SATURATION_RHOS.len()

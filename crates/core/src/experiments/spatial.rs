@@ -7,18 +7,14 @@
 //! ANTT across workloads.
 
 use crate::config::{PolicyKind, SimulatorConfig};
-use crate::experiments::common::{
-    isolated_times_with_cache, mean_of, ExperimentScale, IsolatedRunCache,
-};
-use crate::json::Value;
+use crate::experiments::common::{mean_of, ExperimentScale, Population};
+use crate::experiments::{Experiment, IsolatedPhase};
 use crate::report::{times, TextTable};
 use crate::simulator::SimulationRun;
-use crate::sweep::shard::{dec_f64, enc_f64, field, run_plan_values};
-use crate::sweep::{
-    Scenario, SweepExec, SweepPlan, SweepRecord, SweepReport, SweepRunner, SweepTiming, ValueCodec,
-};
+use crate::sweep::shard::checkpointed;
+use crate::sweep::{Scenario, SweepPlan, SweepRecord, SweepReport, SweepTiming};
 use gpreempt_gpu::{MechanismSelection, PreemptionMechanism};
-use gpreempt_types::{KernelClass, SimError, SimTime};
+use gpreempt_types::{KernelClass, SimError};
 use std::collections::HashMap;
 
 /// One scheduler configuration evaluated by the spatial-sharing experiment.
@@ -69,17 +65,20 @@ impl std::fmt::Display for SpatialConfig {
     }
 }
 
-/// The outcome of one workload under one configuration.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SpatialOutcome {
-    /// Per-process normalized turnaround times.
-    pub ntt: Vec<f64>,
-    /// Average normalized turnaround time.
-    pub antt: f64,
-    /// System throughput.
-    pub stp: f64,
-    /// Fairness.
-    pub fairness: f64,
+checkpointed! {
+    /// The outcome of one workload under one configuration.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct SpatialOutcome {
+        /// Per-process normalized turnaround times (∞ for a starved
+        /// process).
+        pub ntt: Vec<f64>,
+        /// Average normalized turnaround time.
+        pub antt: f64,
+        /// System throughput.
+        pub stp: f64,
+        /// Fairness.
+        pub fairness: f64,
+    }
 }
 
 /// The results of one workload across every configuration.
@@ -138,86 +137,23 @@ pub struct SpatialResults {
     timing: SweepTiming,
 }
 
-impl SpatialResults {
-    /// Runs the experiment at the given scale on a single worker (the
-    /// historical sequential behaviour).
-    ///
-    /// # Errors
-    ///
-    /// Propagates any simulation error.
-    pub fn run(config: &SimulatorConfig, scale: &ExperimentScale) -> Result<Self, SimError> {
-        Self::run_with(config, scale, &SweepRunner::sequential())
-    }
+impl Experiment for SpatialResults {
+    const NAME: &'static str = "spatial";
+    type Value = SpatialOutcome;
+    type Context = Population;
 
-    /// Runs the experiment at the given scale on `runner`'s workers;
-    /// results are bit-identical for every worker count.
-    ///
-    /// # Errors
-    ///
-    /// Propagates any simulation error.
-    pub fn run_with(
+    /// `random_workloads` random equal-priority workloads per size, each
+    /// under every [`SpatialConfig`].
+    fn enumerate(
         config: &SimulatorConfig,
         scale: &ExperimentScale,
-        runner: &SweepRunner,
-    ) -> Result<Self, SimError> {
-        Self::run_with_cache(config, scale, runner, &IsolatedRunCache::new())
-    }
-
-    /// [`run_with`](Self::run_with) backed by a shared [`IsolatedRunCache`],
-    /// so several experiments over the same configuration compute each
-    /// distinct isolated run only once.
-    ///
-    /// The main sweep **streams**: every finished [`SimulationRun`] is
-    /// folded into its [`SpatialOutcome`] on the worker that simulated it
-    /// and dropped, so memory stays O(scenarios) instead of
-    /// O(runs × completions).
-    ///
-    /// # Errors
-    ///
-    /// Propagates any simulation error.
-    pub fn run_with_cache(
-        config: &SimulatorConfig,
-        scale: &ExperimentScale,
-        runner: &SweepRunner,
-        cache: &IsolatedRunCache,
-    ) -> Result<Self, SimError> {
-        Ok(
-            Self::run_exec(config, scale, runner, cache, &SweepExec::Full)?
-                .expect("full run yields results"),
-        )
-    }
-
-    /// [`run_with_cache`](Self::run_with_cache) under an explicit execution
-    /// mode: a shard run checkpoints outcomes and returns `None`; a merge
-    /// decodes them and aggregates exactly like a full run.
-    ///
-    /// # Errors
-    ///
-    /// Propagates simulation, checkpoint and decode errors.
-    pub fn run_exec(
-        config: &SimulatorConfig,
-        scale: &ExperimentScale,
-        runner: &SweepRunner,
-        cache: &IsolatedRunCache,
-        exec: &SweepExec<'_>,
-    ) -> Result<Option<Self>, SimError> {
-        let mut generator = scale.generator(config);
-        let mut workloads = Vec::new();
-        for &size in &scale.workload_sizes {
-            for workload in generator.random_population(size, scale.random_workloads) {
-                workloads.push((size, scale.finalize(workload)));
-            }
-        }
-
-        let (isolated, iso_timing) =
-            isolated_times_with_cache(runner, config, workloads.iter().map(|(_, w)| w), cache)?;
-        let iso_per_workload: Vec<Vec<SimTime>> = workloads
-            .iter()
-            .map(|(_, w)| isolated.times_for(w))
-            .collect::<Result<_, _>>()?;
-
+        isolated: &mut IsolatedPhase<'_>,
+    ) -> Result<(SweepPlan, Population), SimError> {
+        let population = Population::generate(config, scale, isolated, |generator, size| {
+            generator.random_population(size, scale.random_workloads)
+        })?;
         let mut plan = SweepPlan::new(config.clone()).with_seed(scale.seed);
-        for (_, workload) in &workloads {
+        for (_, workload) in &population.workloads {
             for cfg in SpatialConfig::all() {
                 let (policy, mechanism) = cfg.policy_and_mechanism();
                 plan.push(
@@ -226,110 +162,56 @@ impl SpatialResults {
                 );
             }
         }
-        let n_cfg = SpatialConfig::all().len();
-        let fold = |scenario: &Scenario, run: SimulationRun| -> Result<SpatialOutcome, SimError> {
-            let metrics = run.metrics(&iso_per_workload[scenario.id / n_cfg])?;
-            Ok(SpatialOutcome {
-                ntt: metrics.ntt().to_vec(),
-                antt: metrics.antt(),
-                stp: metrics.stp(),
-                fairness: metrics.fairness(),
-            })
-        };
-        let outcome = run_plan_values(
-            exec,
-            runner,
-            &plan,
-            "spatial",
-            &Self::codec(),
-            &fold,
-            &|_, _| Ok(()),
-        )?;
-        let Some(outcome_values) = outcome.values else {
-            return Ok(None);
-        };
-        let timing = iso_timing.merged(outcome.timing);
+        Ok((plan, population))
+    }
 
-        let mut values = outcome_values.into_iter();
-        let mut records = Vec::new();
-        for (size, workload) in &workloads {
-            let app_classes = workload
-                .processes()
-                .iter()
-                .map(|p| p.benchmark.app_class())
-                .collect();
-            let mut outcomes = HashMap::new();
-            for cfg in SpatialConfig::all() {
-                let outcome = values.next().expect("one outcome per scenario");
-                outcomes.insert(cfg, outcome);
-            }
-            records.push(SpatialRecord {
+    fn fold(
+        population: &Population,
+        scenario: &Scenario,
+        run: SimulationRun,
+    ) -> Result<SpatialOutcome, SimError> {
+        let isolated = &population.isolated[scenario.id / SpatialConfig::all().len()];
+        let metrics = run.metrics(isolated)?;
+        Ok(SpatialOutcome {
+            ntt: metrics.ntt().to_vec(),
+            antt: metrics.antt(),
+            stp: metrics.stp(),
+            fairness: metrics.fairness(),
+        })
+    }
+
+    fn aggregate(
+        plan: &SweepPlan,
+        population: Population,
+        values: Vec<SpatialOutcome>,
+        timing: SweepTiming,
+    ) -> Self {
+        let mut values = values.into_iter();
+        let records = population
+            .workloads
+            .iter()
+            .map(|(size, workload)| SpatialRecord {
                 workload: workload.name().to_string(),
                 size: *size,
-                app_classes,
-                outcomes,
-            });
-        }
-
-        Ok(Some(SpatialResults {
-            records,
-            sizes: scale.workload_sizes.clone(),
-            seed: scale.seed,
-            timing,
-        }))
-    }
-
-    /// Checkpoint codec for one outcome. The per-process NTT vector has
-    /// workload-dependent length and starved entries can be ∞, both of
-    /// which the array-of-[`enc_f64`] encoding preserves.
-    fn codec() -> ValueCodec<SpatialOutcome> {
-        fn encode(o: &SpatialOutcome) -> Value {
-            Value::object([
-                (
-                    "ntt",
-                    Value::Array(o.ntt.iter().map(|&v| enc_f64(v)).collect()),
-                ),
-                ("antt", enc_f64(o.antt)),
-                ("stp", enc_f64(o.stp)),
-                ("fairness", enc_f64(o.fairness)),
-            ])
-        }
-        fn decode(v: &Value) -> Result<SpatialOutcome, SimError> {
-            let ntt = field(v, "ntt")?
-                .as_array()
-                .ok_or_else(|| SimError::internal("ntt is not an array"))?
-                .iter()
-                .map(dec_f64)
-                .collect::<Result<_, _>>()?;
-            Ok(SpatialOutcome {
-                ntt,
-                antt: dec_f64(field(v, "antt")?)?,
-                stp: dec_f64(field(v, "stp")?)?,
-                fairness: dec_f64(field(v, "fairness")?)?,
+                app_classes: workload
+                    .processes()
+                    .iter()
+                    .map(|p| p.benchmark.app_class())
+                    .collect(),
+                outcomes: SpatialConfig::all().into_iter().zip(&mut values).collect(),
             })
+            .collect();
+        SpatialResults {
+            records,
+            sizes: population.sizes,
+            seed: plan.seed(),
+            timing,
         }
-        ValueCodec { encode, decode }
     }
 
-    /// The per-workload records.
-    pub fn records(&self) -> &[SpatialRecord] {
-        &self.records
-    }
-
-    /// The workload sizes evaluated.
-    pub fn sizes(&self) -> &[usize] {
-        &self.sizes
-    }
-
-    /// Wall-clock timing of the underlying sweep (isolated phase + main
-    /// phase).
-    pub fn timing(&self) -> &SweepTiming {
-        &self.timing
-    }
-
-    /// The machine-readable report: one record per workload ×
-    /// configuration with ANTT / STP / fairness and the per-process NTTs.
-    pub fn report(&self) -> SweepReport {
+    /// One record per workload × configuration with ANTT / STP / fairness
+    /// and the per-process NTTs.
+    fn report(&self) -> SweepReport {
         let mut report = SweepReport::new(self.seed);
         for record in &self.records {
             for cfg in SpatialConfig::all() {
@@ -345,6 +227,31 @@ impl SpatialResults {
             }
         }
         report
+    }
+
+    fn tables(&self) -> Vec<TextTable> {
+        vec![
+            self.render_fig7a(),
+            self.render_fig7b(),
+            self.render_fig7c(),
+            self.render_fig8(),
+        ]
+    }
+
+    fn timing(&self) -> &SweepTiming {
+        &self.timing
+    }
+}
+
+impl SpatialResults {
+    /// The per-workload records.
+    pub fn records(&self) -> &[SpatialRecord] {
+        &self.records
+    }
+
+    /// The workload sizes evaluated.
+    pub fn sizes(&self) -> &[usize] {
+        &self.sizes
     }
 
     /// Figure 7a: mean per-application NTT improvement of DSS over FCFS, for

@@ -582,8 +582,8 @@ impl Simulator {
     /// The single-process FCFS workload an isolated-execution measurement
     /// simulates. Shared by [`Simulator::isolated_time`] and the sweep
     /// harnesses' batched isolated phase
-    /// ([`isolated_times_via`](crate::experiments::isolated_times_via)), so
-    /// the two paths cannot diverge.
+    /// ([`isolated_times_with_cache`](crate::experiments::isolated_times_with_cache)),
+    /// so the two paths cannot diverge.
     pub fn isolated_workload(benchmark: &BenchmarkTrace) -> Workload {
         Workload::new(
             format!("isolated-{}", benchmark.name()),

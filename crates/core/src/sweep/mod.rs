@@ -62,7 +62,5 @@ pub use runner::{
     FoldedResults, ScenarioFold, ScenarioTap, SweepResults, SweepRunner, SweepTiming, TimingEntry,
 };
 pub use scenario::{FoldedScenario, Scenario, ScenarioResult};
-pub use shard::{
-    MergedValues, PlanValues, ShardManifest, ShardSession, ShardSpec, SweepExec, ValueCodec,
-};
+pub use shard::{Checkpoint, MergedValues, ShardManifest, ShardSession, ShardSpec, SweepExec};
 pub use sink::JsonlSink;

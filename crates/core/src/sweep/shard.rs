@@ -19,59 +19,31 @@
 //!   scenarios.
 //! * [`MergedValues`] — the reassembled fold values of a full shard set
 //!   (indices exactly `0..n`), keyed by `(experiment, scenario id)`.
-//! * [`run_plan_values`] — the execution seam every experiment harness
-//!   routes through: in [`SweepExec::Full`] mode it runs the whole plan; in
-//!   `Shard` mode it runs only the stripe's pending ids and checkpoints
-//!   each fold value through the experiment's [`ValueCodec`]; in `Merge`
-//!   mode it runs **nothing**, decoding the checkpointed values in
-//!   scenario-id order instead — after which the experiment's unchanged
-//!   aggregation code produces the byte-identical report.
+//! * [`Checkpoint`] — how a fold value travels through a checkpoint. Each
+//!   fold value declares its fields once, and the encoder, the decoder and
+//!   the schema entry the manifest fingerprint hashes are all derived from
+//!   that declaration.
+//!
+//! The experiment [`Driver`](crate::experiments::Driver) is the execution
+//! seam: under [`SweepExec::Shard`] it runs only the stripe's pending ids
+//! and checkpoints each fold value; under [`SweepExec::Merge`] it runs
+//! **nothing**, decoding the checkpointed values in scenario-id order
+//! instead — after which the experiment's unchanged aggregation code
+//! produces the byte-identical report.
 //!
 //! Checkpointing the *fold values* (not the report records) is what makes
 //! the merge provably byte-identical: aggregation (means, confidence
 //! intervals, knee detection) runs exactly once, at merge time, over values
 //! in the exact id order a full run would have produced.
 
+use crate::config::PolicyKind;
+use crate::experiments::{schema_fingerprint, ExperimentScale};
 use crate::json::{self, Value};
-use crate::sweep::runner::{ScenarioFold, ScenarioTap};
-use crate::sweep::{SweepPlan, SweepRunner, SweepTiming};
 use gpreempt_types::{SimError, SimTime};
 use std::collections::{HashMap, HashSet};
 use std::io::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
-
-/// The value-schema of every experiment's checkpointed fold value, one
-/// entry per experiment. The manifest's schema fingerprint hashes this
-/// list, so a checkpoint written by an older binary whose fold values
-/// carried different fields refuses to resume or merge instead of decoding
-/// garbage. **Extend the relevant entry whenever a fold value changes.**
-const SCHEMA: &[&str] = &[
-    "fig2:policy,k1_finish_ns,k2_finish_ns,k3_start_ns,k3_finish_ns",
-    "priority:ntt_high_priority,stp",
-    "spatial:ntt[],antt,stp,fairness",
-    "mechanism:antt,stp,fairness,preemptions,preemptions_completed,\
-     mean_preemption_latency_ns,drain_picks,cs_picks,mean_estimate_error_ns",
-    "realtime:miss_rate,mean_response_us,max_tardiness_us,completed,missed,\
-     preemptions,mean_preempt_latency_us",
-    "saturation:released,shed,completed,shed_rate,p50_us,p99_us,p999_us,\
-     mean_queue_depth,max_queue_depth,throughput_per_sec,preemptions,depth_traces[][]",
-];
-
-/// FNV-1a fingerprint of [`SCHEMA`]: two checkpoints inter-operate exactly
-/// when their binaries agreed on every experiment's fold-value layout.
-pub fn schema_fingerprint() -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for entry in SCHEMA {
-        for byte in entry.bytes() {
-            hash ^= u64::from(byte);
-            hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-        hash ^= u64::from(b';');
-        hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    hash
-}
 
 fn io_err(what: &str, e: std::io::Error) -> SimError {
     SimError::internal(format!("shard checkpoint {what}: {e}"))
@@ -153,26 +125,29 @@ pub struct ShardManifest {
 }
 
 impl ShardManifest {
-    /// Builds the manifest for a new shard run, stamping the current
-    /// binary's schema fingerprint.
+    /// Builds the manifest for a shard of `experiment` (the `--experiment`
+    /// selector) at the scale named `scale_name`, stamping the current
+    /// binary's schema fingerprint. Seed and depth-trace interval are read
+    /// from `scale`, the scale that actually runs, so a zero interval
+    /// (tracing off) records the same `null` as no interval.
     pub fn new(
         experiment: impl Into<String>,
-        scale: impl Into<String>,
-        seed: u64,
+        scale_name: impl Into<String>,
+        scale: &ExperimentScale,
         shard: ShardSpec,
-        depth_trace_us: Option<u64>,
     ) -> Self {
         ShardManifest {
             experiment: experiment.into(),
-            scale: scale.into(),
-            seed,
+            scale: scale_name.into(),
+            seed: scale.seed,
             shard,
             schema: schema_fingerprint(),
-            depth_trace_us,
+            depth_trace_us: scale.depth_trace.map(|t| t.as_nanos() / 1_000),
         }
     }
 
-    fn to_value(&self) -> Value {
+    /// The manifest's JSON line.
+    pub fn to_json(&self) -> String {
         Value::object([
             ("manifest", Value::from(1u64)),
             ("experiment", Value::from(self.experiment.as_str())),
@@ -186,11 +161,7 @@ impl ShardManifest {
                 self.depth_trace_us.map_or(Value::Null, Value::from),
             ),
         ])
-    }
-
-    /// The manifest's JSON line.
-    pub fn to_json(&self) -> String {
-        self.to_value().to_json()
+        .to_json()
     }
 
     fn parse(line: &str) -> Result<Self, SimError> {
@@ -301,15 +272,6 @@ fn parse_record(line: &str) -> Result<(String, usize, Value), SimError> {
         .ok_or_else(|| bad("missing id"))? as usize;
     let value = v.get("value").ok_or_else(|| bad("missing value"))?.clone();
     Ok((experiment, id, value))
-}
-
-fn record_line(experiment: &str, id: usize, value: &Value) -> String {
-    Value::Object(vec![
-        ("experiment".to_string(), Value::from(experiment)),
-        ("id".to_string(), Value::from(id as u64)),
-        ("value".to_string(), value.clone()),
-    ])
-    .to_json()
 }
 
 // ---------------------------------------------------------------------------
@@ -441,8 +403,13 @@ impl ShardSession {
     /// # Errors
     ///
     /// Propagates the I/O failure (aborting the sweep, like a failing tap).
-    pub fn record(&self, experiment: &str, id: usize, value: &Value) -> Result<(), SimError> {
-        let line = record_line(experiment, id, value);
+    pub fn record(&self, experiment: &str, id: usize, value: Value) -> Result<(), SimError> {
+        let line = Value::object([
+            ("experiment", Value::from(experiment)),
+            ("id", Value::from(id as u64)),
+            ("value", value),
+        ])
+        .to_json();
         let mut writer = self.writer.lock().expect("shard checkpoint poisoned");
         writer
             .write_all(line.as_bytes())
@@ -473,8 +440,8 @@ impl MergedValues {
     /// (each once), and every record must belong to its file's stripe.
     ///
     /// Completeness per experiment is *not* checked here — plan lengths are
-    /// only known once the plans are rebuilt; [`run_plan_values`] reports
-    /// the first missing id.
+    /// only known once the plans are rebuilt; the merge run reports the
+    /// first missing id.
     ///
     /// # Errors
     ///
@@ -576,191 +543,226 @@ impl MergedValues {
 }
 
 // ---------------------------------------------------------------------------
-// The execution seam
+// Execution modes
 // ---------------------------------------------------------------------------
 
-/// How an experiment harness should execute its plan.
-#[derive(Debug)]
+/// How the experiment driver executes a plan.
+#[derive(Debug, Clone, Copy)]
 pub enum SweepExec<'a> {
-    /// Simulate every scenario (the historical behaviour).
+    /// Simulate every scenario.
     Full,
     /// Simulate only this shard's pending stripe, checkpointing fold
-    /// values; aggregation is skipped (the harness yields no results).
+    /// values; aggregation is skipped (the experiment yields no results).
     Shard(&'a ShardSession),
     /// Simulate nothing: decode the checkpointed fold values in
     /// scenario-id order and aggregate exactly as a full run would.
     Merge(&'a MergedValues),
 }
 
-/// Encodes an experiment's per-scenario fold value to checkpoint JSON and
-/// back. The round trip must be exact — [`enc_f64`]/[`dec_f64`] and
-/// friends guarantee that per field, including non-finite values the
-/// report JSON itself cannot represent.
-#[derive(Debug, Clone, Copy)]
-pub struct ValueCodec<T> {
+// ---------------------------------------------------------------------------
+// Checkpoint codecs
+// ---------------------------------------------------------------------------
+
+/// A per-scenario fold value that a shard checkpoints and a merge decodes.
+///
+/// Never written by hand: the crate's `checkpointed!` macro wraps the
+/// value's struct definition and derives all three items from its field
+/// list. Keys follow field order, and each field's type supplies its
+/// encoding, its key suffix and its schema nesting, so the encoder, the
+/// decoder and the schema entry cannot drift apart.
+pub trait Checkpoint: Sized {
+    /// The schema entry: the field keys in declaration order, one `[]` per
+    /// `Vec` level, comma-separated (e.g. `ntt[],antt,stp,fairness`).
+    fn schema() -> String;
+
     /// Value → checkpoint JSON object.
-    pub encode: fn(&T) -> Value,
-    /// Checkpoint JSON object → value (error on schema drift).
-    pub decode: fn(&Value) -> Result<T, SimError>,
+    fn encode(&self) -> Value;
+
+    /// Checkpoint JSON object → value.
+    ///
+    /// # Errors
+    ///
+    /// Names the missing or malformed field (schema drift the fingerprint
+    /// should have caught — or a hand-edited checkpoint).
+    fn decode(value: &Value) -> Result<Self, SimError>;
 }
 
-/// The outcome of [`run_plan_values`].
-#[derive(Debug)]
-pub struct PlanValues<T> {
-    /// The fold values in scenario-id order — `None` in shard mode, where
-    /// values went to the checkpoint instead of to aggregation.
-    pub values: Option<Vec<T>>,
-    /// Wall-clock timing of whatever was actually simulated (empty in
-    /// merge mode: nothing runs).
-    pub timing: SweepTiming,
+/// One field type of a [`Checkpoint`] value. The round trip is exact,
+/// including non-finite floats, which report JSON cannot represent.
+pub(crate) trait FieldCodec: Sized {
+    /// Appended to the field name to form its key (`_ns` on [`SimTime`]).
+    const KEY_SUFFIX: &'static str = "";
+    /// `Vec` nesting depth: the schema entry carries one `[]` per level.
+    const NESTING: usize = 0;
+
+    /// The field's JSON encoding.
+    fn encode(&self) -> Value;
+
+    /// Decodes [`encode`](Self::encode)'s output.
+    ///
+    /// # Errors
+    ///
+    /// Describes a value of the wrong type or out of range.
+    fn decode(value: &Value) -> Result<Self, String>;
 }
 
-/// Executes (or replays) one experiment's plan under the given
-/// [`SweepExec`] mode. This is the single seam every harness routes its
-/// main phase through, so full, sharded and merged execution cannot drift
-/// apart.
-///
-/// In `Shard` mode the caller's `tap` is **not** invoked — the checkpoint
-/// is the shard's only output, and the merge re-taps every value in
-/// scenario-id order (deterministic, unlike a parallel run's completion
-/// order).
-///
-/// # Errors
-///
-/// Full/shard mode fail like
-/// [`SweepRunner::run_fold_tap`]; merge mode fails on a missing or
-/// undecodable checkpoint value (naming the experiment and scenario id).
-pub fn run_plan_values<T: Send>(
-    exec: &SweepExec<'_>,
-    runner: &SweepRunner,
-    plan: &SweepPlan,
-    experiment: &str,
-    codec: &ValueCodec<T>,
-    fold: &ScenarioFold<'_, T>,
-    tap: &ScenarioTap<'_, T>,
-) -> Result<PlanValues<T>, SimError> {
-    match exec {
-        SweepExec::Full => {
-            let results = runner.run_fold_tap(plan, fold, tap)?;
-            let timing = results.timing(plan);
-            Ok(PlanValues {
-                values: Some(results.into_values()),
-                timing,
-            })
+/// Finite values use the JSON number's shortest-representation writer
+/// (which round-trips bit for bit); non-finite values — which report JSON
+/// writes as `null` — become the strings `"inf"` / `"-inf"` / `"nan"`.
+impl FieldCodec for f64 {
+    fn encode(&self) -> Value {
+        if self.is_finite() {
+            Value::from(*self)
+        } else if self.is_nan() {
+            Value::from("nan")
+        } else if *self > 0.0 {
+            Value::from("inf")
+        } else {
+            Value::from("-inf")
         }
-        SweepExec::Shard(session) => {
-            let ids = session.pending_ids(experiment, plan.len());
-            let results = runner.run_fold_tap_subset(plan, &ids, fold, &|scenario, value| {
-                session.record(experiment, scenario.id, &(codec.encode)(value))
-            })?;
-            let timing = results.timing(plan);
-            Ok(PlanValues {
-                values: None,
-                timing,
-            })
+    }
+
+    fn decode(value: &Value) -> Result<Self, String> {
+        match value {
+            Value::String(s) => match s.as_str() {
+                "inf" => Ok(f64::INFINITY),
+                "-inf" => Ok(f64::NEG_INFINITY),
+                "nan" => Ok(f64::NAN),
+                other => Err(format!(
+                    "expected a number or non-finite sentinel, found {other:?}"
+                )),
+            },
+            other => other
+                .as_f64()
+                .ok_or_else(|| format!("expected a number, found {other:?}")),
         }
-        SweepExec::Merge(merged) => {
-            let mut values = Vec::with_capacity(plan.len());
-            for scenario in plan.scenarios() {
-                let raw = merged.value(experiment, scenario.id)?;
-                let value = (codec.decode)(raw).map_err(|e| {
-                    SimError::internal(format!(
-                        "experiment {experiment} scenario {}: {e}",
-                        scenario.id
-                    ))
-                })?;
-                tap(scenario, &value)?;
-                values.push(value);
+    }
+}
+
+impl FieldCodec for u64 {
+    fn encode(&self) -> Value {
+        Value::from(*self)
+    }
+
+    fn decode(value: &Value) -> Result<Self, String> {
+        value
+            .as_u64()
+            .ok_or_else(|| format!("expected an unsigned integer, found {value:?}"))
+    }
+}
+
+impl FieldCodec for u32 {
+    fn encode(&self) -> Value {
+        Value::from(u64::from(*self))
+    }
+
+    fn decode(value: &Value) -> Result<Self, String> {
+        let wide = u64::decode(value)?;
+        u32::try_from(wide).map_err(|_| format!("{wide} exceeds u32 range"))
+    }
+}
+
+/// Exact nanoseconds.
+impl FieldCodec for SimTime {
+    const KEY_SUFFIX: &'static str = "_ns";
+
+    fn encode(&self) -> Value {
+        Value::from(self.as_nanos())
+    }
+
+    fn decode(value: &Value) -> Result<Self, String> {
+        u64::decode(value).map(SimTime::from_nanos)
+    }
+}
+
+/// The policy's label, since a decoder sees only the value, not the
+/// scenario that produced it.
+impl FieldCodec for PolicyKind {
+    fn encode(&self) -> Value {
+        Value::from(self.label())
+    }
+
+    fn decode(value: &Value) -> Result<Self, String> {
+        let label = value.as_str().unwrap_or_default();
+        PolicyKind::all()
+            .into_iter()
+            .find(|p| p.label() == label)
+            .ok_or_else(|| format!("unknown policy label {label:?}"))
+    }
+}
+
+impl<T: FieldCodec> FieldCodec for Vec<T> {
+    const KEY_SUFFIX: &'static str = T::KEY_SUFFIX;
+    const NESTING: usize = T::NESTING + 1;
+
+    fn encode(&self) -> Value {
+        Value::Array(self.iter().map(T::encode).collect())
+    }
+
+    fn decode(value: &Value) -> Result<Self, String> {
+        value
+            .as_array()
+            .ok_or_else(|| format!("expected an array, found {value:?}"))?
+            .iter()
+            .map(T::decode)
+            .collect()
+    }
+}
+
+/// The JSON key of a field named `name` of type `T`.
+pub(crate) fn field_key<T: FieldCodec>(name: &str) -> String {
+    format!("{name}{}", T::KEY_SUFFIX)
+}
+
+/// The schema entry of a field named `name` of type `T`.
+pub(crate) fn schema_key<T: FieldCodec>(name: &str) -> String {
+    field_key::<T>(name) + &"[]".repeat(T::NESTING)
+}
+
+/// Decodes the required field `name` of a checkpoint value object.
+pub(crate) fn decode_field<T: FieldCodec>(object: &Value, name: &str) -> Result<T, SimError> {
+    let key = field_key::<T>(name);
+    let value = object
+        .get(&key)
+        .ok_or_else(|| SimError::internal(format!("checkpoint value is missing field {key:?}")))?;
+    T::decode(value).map_err(|e| SimError::internal(format!("checkpoint field {key:?}: {e}")))
+}
+
+/// Declares a checkpointed fold value: emits the struct exactly as written
+/// and derives its [`Checkpoint`] impl from the field list.
+macro_rules! checkpointed {
+    (
+        $(#[$meta:meta])*
+        $vis:vis struct $name:ident {
+            $($(#[$field_meta:meta])* $field_vis:vis $field:ident: $ty:ty,)*
+        }
+    ) => {
+        $(#[$meta])*
+        $vis struct $name {
+            $($(#[$field_meta])* $field_vis $field: $ty,)*
+        }
+
+        impl $crate::sweep::shard::Checkpoint for $name {
+            fn schema() -> String {
+                [$($crate::sweep::shard::schema_key::<$ty>(stringify!($field))),*].join(",")
             }
-            Ok(PlanValues {
-                values: Some(values),
-                timing: SweepTiming::default(),
-            })
+
+            fn encode(&self) -> $crate::json::Value {
+                $crate::json::Value::Object(vec![$((
+                    $crate::sweep::shard::field_key::<$ty>(stringify!($field)),
+                    $crate::sweep::shard::FieldCodec::encode(&self.$field),
+                )),*])
+            }
+
+            fn decode(value: &$crate::json::Value) -> Result<Self, $crate::types::SimError> {
+                Ok($name {
+                    $($field: $crate::sweep::shard::decode_field(value, stringify!($field))?,)*
+                })
+            }
         }
-    }
+    };
 }
-
-// ---------------------------------------------------------------------------
-// Field codec helpers
-// ---------------------------------------------------------------------------
-
-/// Encodes an `f64` for exact round-tripping: finite values use the JSON
-/// number's shortest-representation writer (which round-trips bit-for-bit),
-/// non-finite values — which report JSON writes as `null` — become the
-/// strings `"inf"` / `"-inf"` / `"nan"`.
-pub fn enc_f64(v: f64) -> Value {
-    if v.is_finite() {
-        Value::from(v)
-    } else if v.is_nan() {
-        Value::from("nan")
-    } else if v > 0.0 {
-        Value::from("inf")
-    } else {
-        Value::from("-inf")
-    }
-}
-
-/// Decodes [`enc_f64`]'s output.
-///
-/// # Errors
-///
-/// Anything that is neither a JSON number nor one of the non-finite
-/// sentinels.
-pub fn dec_f64(v: &Value) -> Result<f64, SimError> {
-    match v {
-        Value::String(s) => match s.as_str() {
-            "inf" => Ok(f64::INFINITY),
-            "-inf" => Ok(f64::NEG_INFINITY),
-            "nan" => Ok(f64::NAN),
-            other => Err(SimError::internal(format!(
-                "expected a number or non-finite sentinel, found {other:?}"
-            ))),
-        },
-        other => other
-            .as_f64()
-            .ok_or_else(|| SimError::internal(format!("expected a number, found {other:?}"))),
-    }
-}
-
-/// Encodes a `u64` exactly (the JSON layer's `Uint` path).
-pub fn enc_u64(v: u64) -> Value {
-    Value::from(v)
-}
-
-/// Decodes [`enc_u64`]'s output.
-///
-/// # Errors
-///
-/// Anything that is not an unsigned integer.
-pub fn dec_u64(v: &Value) -> Result<u64, SimError> {
-    v.as_u64()
-        .ok_or_else(|| SimError::internal(format!("expected an unsigned integer, found {v:?}")))
-}
-
-/// Encodes a [`SimTime`] as exact nanoseconds.
-pub fn enc_time(t: SimTime) -> Value {
-    Value::from(t.as_nanos())
-}
-
-/// Decodes [`enc_time`]'s output.
-///
-/// # Errors
-///
-/// Anything that is not an unsigned integer.
-pub fn dec_time(v: &Value) -> Result<SimTime, SimError> {
-    dec_u64(v).map(SimTime::from_nanos)
-}
-
-/// Looks up a required field of a checkpoint value object.
-///
-/// # Errors
-///
-/// Names the missing field (schema drift the fingerprint should have
-/// caught — or a hand-edited checkpoint).
-pub fn field<'a>(obj: &'a Value, key: &str) -> Result<&'a Value, SimError> {
-    obj.get(key)
-        .ok_or_else(|| SimError::internal(format!("checkpoint value is missing field {key:?}")))
-}
+pub(crate) use checkpointed;
 
 #[cfg(test)]
 mod tests {
@@ -773,7 +775,7 @@ mod tests {
     }
 
     fn manifest(shard: ShardSpec) -> ShardManifest {
-        ShardManifest::new("all", "quick", 2014, shard, None)
+        ShardManifest::new("all", "quick", &ExperimentScale::quick(), shard)
     }
 
     #[test]
@@ -797,16 +799,30 @@ mod tests {
 
     #[test]
     fn manifest_round_trips() {
+        let mut scale = ExperimentScale::bench().with_depth_trace(Some(SimTime::from_micros(250)));
+        scale.seed = 42;
         let m = ShardManifest::new(
             "saturation",
             "bench",
-            42,
+            &scale,
             ShardSpec { index: 2, count: 4 },
-            Some(250),
         );
+        assert_eq!((m.seed, m.depth_trace_us), (42, Some(250)));
         let parsed = ShardManifest::parse(&m.to_json()).unwrap();
         assert_eq!(parsed, m);
         assert_eq!(parsed.schema, schema_fingerprint());
+    }
+
+    #[test]
+    fn zero_depth_trace_records_like_no_trace() {
+        let spec = ShardSpec { index: 0, count: 2 };
+        let traced = ExperimentScale::quick().with_depth_trace(Some(SimTime::ZERO));
+        let zero = ShardManifest::new("fig2", "quick", &traced, spec);
+        assert_eq!(
+            zero,
+            ShardManifest::new("fig2", "quick", &ExperimentScale::quick(), spec)
+        );
+        assert!(zero.to_json().contains(r#""depth_trace_us":null"#));
     }
 
     #[test]
@@ -824,16 +840,41 @@ mod tests {
             f64::NEG_INFINITY,
         ] {
             // Through the actual JSON writer + parser, like a real checkpoint.
-            let line = Value::Object(vec![("v".to_string(), enc_f64(v))]).to_json();
-            let back = dec_f64(json::parse(&line).unwrap().get("v").unwrap()).unwrap();
+            let line = Value::Object(vec![("v".to_string(), v.encode())]).to_json();
+            let back = f64::decode(json::parse(&line).unwrap().get("v").unwrap()).unwrap();
             assert_eq!(back.to_bits(), v.to_bits(), "{v}");
         }
-        let line = Value::Object(vec![("v".to_string(), enc_f64(f64::NAN))]).to_json();
-        assert!(dec_f64(json::parse(&line).unwrap().get("v").unwrap())
+        let line = Value::Object(vec![("v".to_string(), f64::NAN.encode())]).to_json();
+        assert!(f64::decode(json::parse(&line).unwrap().get("v").unwrap())
             .unwrap()
             .is_nan());
-        assert!(dec_f64(&Value::from("bogus")).is_err());
-        assert!(dec_f64(&Value::Null).is_err());
+        assert!(f64::decode(&Value::from("bogus")).is_err());
+        assert!(f64::decode(&Value::Null).is_err());
+    }
+
+    #[test]
+    fn field_codecs_spell_keys_and_check_ranges() {
+        assert_eq!(field_key::<SimTime>("k3_start"), "k3_start_ns");
+        assert_eq!(
+            schema_key::<Vec<Vec<u32>>>("depth_traces"),
+            "depth_traces[][]"
+        );
+        assert_eq!(schema_key::<Vec<f64>>("ntt"), "ntt[]");
+        assert_eq!(u32::decode(&Value::from(u64::from(u32::MAX))), Ok(u32::MAX));
+        let err = u32::decode(&Value::from(1u64 << 32)).unwrap_err();
+        assert!(err.contains("exceeds u32 range"), "{err}");
+        assert_eq!(
+            PolicyKind::decode(&PolicyKind::Gcaps.encode()),
+            Ok(PolicyKind::Gcaps)
+        );
+        assert!(PolicyKind::decode(&Value::from("nonsense")).is_err());
+        let object = Value::object([("stp", 1.5.encode())]);
+        assert_eq!(decode_field::<f64>(&object, "stp").unwrap(), 1.5);
+        let missing = decode_field::<f64>(&object, "antt").unwrap_err();
+        assert!(
+            missing.to_string().contains("missing field \"antt\""),
+            "{missing}"
+        );
     }
 
     #[test]
@@ -845,8 +886,8 @@ mod tests {
             let session = ShardSession::open(&path, manifest(spec)).unwrap();
             assert_eq!(session.resumed(), 0);
             assert_eq!(session.pending_ids("fig2", 5), vec![0, 2, 4]);
-            session.record("fig2", 0, &enc_u64(10)).unwrap();
-            session.record("fig2", 2, &enc_u64(20)).unwrap();
+            session.record("fig2", 0, 10u64.encode()).unwrap();
+            session.record("fig2", 2, 20u64.encode()).unwrap();
             assert_eq!(session.written(), 2);
         }
         // Reopen: the two records are recovered, only id 4 is pending.
@@ -865,8 +906,8 @@ mod tests {
         let spec = ShardSpec { index: 1, count: 3 };
         {
             let session = ShardSession::open(&path, manifest(spec)).unwrap();
-            session.record("fig2", 1, &enc_u64(1)).unwrap();
-            session.record("fig2", 4, &enc_u64(4)).unwrap();
+            session.record("fig2", 1, 1u64.encode()).unwrap();
+            session.record("fig2", 4, 4u64.encode()).unwrap();
         }
         // Simulate a kill mid-write: chop the last line in half.
         let text = std::fs::read_to_string(&path).unwrap();
@@ -912,7 +953,7 @@ mod tests {
             let session = ShardSession::open(path, manifest(spec)).unwrap();
             for id in spec.stripe(7) {
                 session
-                    .record("fig2", id, &enc_u64(id as u64 * 10))
+                    .record("fig2", id, (id as u64 * 10).encode())
                     .unwrap();
             }
         }
@@ -921,7 +962,7 @@ mod tests {
         assert!(!merged.is_empty());
         for id in 0..7 {
             assert_eq!(
-                dec_u64(merged.value("fig2", id).unwrap()).unwrap(),
+                u64::decode(merged.value("fig2", id).unwrap()).unwrap(),
                 id as u64 * 10
             );
         }

@@ -1,21 +1,20 @@
 //! Golden byte-identity fixture for the full experiment sweep.
 //!
-//! Assembles the exact combined report `run_sweep --experiment all
-//! --format json` emits — fig2, priority, spatial, mechanism, realtime and
-//! saturation merged in that order over one shared isolated-run cache — at
-//! a trimmed quick scale, and pins its bytes. Whole-engine workspace reuse,
-//! parallel execution and every future refactor must reproduce this file
-//! bit for bit; an *intentional* output change regenerates it with:
+//! Runs every registered experiment in registry order through one driver
+//! over one shared isolated-run cache — the combined report `run_sweep
+//! --experiment all --format json` emits — at a trimmed quick scale, and
+//! pins its bytes. Whole-engine workspace reuse, parallel execution,
+//! sharding and every future refactor must reproduce this file bit for bit;
+//! an *intentional* output change regenerates it with:
 //!
 //! ```text
 //! GPREEMPT_BLESS=1 cargo test -p gpreempt --test sweep_golden
 //! ```
 
-use gpreempt::experiments::{
-    ExperimentScale, Fig2Results, IsolatedRunCache, MechanismResults, PriorityResults,
-    RealtimeResults, SaturationResults, SpatialResults,
+use gpreempt::experiments::{Driver, ExperimentScale, IsolatedRunCache, SweepOutput, EXPERIMENTS};
+use gpreempt::sweep::{
+    MergedValues, ShardManifest, ShardSession, ShardSpec, SweepExec, SweepRunner,
 };
-use gpreempt::sweep::{SweepReport, SweepRunner};
 use gpreempt::SimulatorConfig;
 
 const GOLDEN: &str = concat!(
@@ -23,50 +22,58 @@ const GOLDEN: &str = concat!(
     "/tests/golden/all_experiments_sweep.json"
 );
 
-/// `run_sweep --experiment all --format json`, in miniature: same
-/// experiment order, same shared cache, smaller scale.
-fn all_experiments_json(jobs: usize) -> String {
-    let config = SimulatorConfig::default();
+fn tiny_scale() -> ExperimentScale {
     let mut scale = ExperimentScale::quick().with_benchmarks(["spmv", "sgemm", "mri-q"]);
     scale.workload_sizes = vec![2];
     scale.reps_per_benchmark = 1;
     scale.random_workloads = 2;
+    scale
+}
 
-    let runner = SweepRunner::new(jobs);
-    let cache = IsolatedRunCache::new();
-    let mut report = SweepReport::new(scale.seed);
-    report.merge(Fig2Results::run_with(&config, &runner).unwrap().report());
-    report.merge(
-        PriorityResults::run_with_cache(&config, &scale, &runner, &cache)
-            .unwrap()
-            .report(),
-    );
-    report.merge(
-        SpatialResults::run_with_cache(&config, &scale, &runner, &cache)
-            .unwrap()
-            .report(),
-    );
-    report.merge(
-        MechanismResults::run_with_cache(&config, &scale, &runner, &cache)
-            .unwrap()
-            .report(),
-    );
-    report.merge(
-        RealtimeResults::run_streaming(&config, &scale, &runner, &cache, None)
-            .unwrap()
-            .report(),
-    );
-    report.merge(
-        SaturationResults::run_streaming(&config, &scale, &runner, &cache, None)
-            .unwrap()
-            .report(),
-    );
-    report.to_json()
+/// `run_sweep --experiment all` in miniature, under `exec`.
+fn sweep(jobs: usize, exec: SweepExec<'_>) -> SweepOutput {
+    let config = SimulatorConfig::default();
+    let scale = tiny_scale();
+    let driver = Driver {
+        config: &config,
+        scale: &scale,
+        runner: &SweepRunner::new(jobs),
+        cache: &IsolatedRunCache::new(),
+        sink: None,
+        exec,
+    };
+    driver.run_all(&EXPERIMENTS, |_, _| {}).unwrap()
+}
+
+/// The same sweep as three single-worker `--shard k/3` runs merged back.
+fn sharded_json() -> String {
+    let paths: Vec<_> = (0..3)
+        .map(|k| {
+            std::env::temp_dir().join(format!(
+                "gpreempt-golden-shard-{k}-{}.jsonl",
+                std::process::id()
+            ))
+        })
+        .collect();
+    for (index, path) in (0..).zip(&paths) {
+        let _ = std::fs::remove_file(path);
+        let shard = ShardSpec { index, count: 3 };
+        let manifest = ShardManifest::new("all", "quick", &tiny_scale(), shard);
+        let session = ShardSession::open(path, manifest).unwrap();
+        let output = sweep(1, SweepExec::Shard(&session));
+        assert!(output.report.is_empty(), "a shard aggregates nothing");
+    }
+    let merged = MergedValues::load(&paths).unwrap();
+    let json = sweep(1, SweepExec::Merge(&merged)).report.to_json();
+    for path in &paths {
+        let _ = std::fs::remove_file(path);
+    }
+    json
 }
 
 #[test]
 fn all_experiment_sweep_json_is_byte_identical_to_golden() {
-    let json = all_experiments_json(2);
+    let json = sweep(2, SweepExec::Full).report.to_json();
     if std::env::var("GPREEMPT_BLESS").is_ok() {
         std::fs::create_dir_all(concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden"))
             .expect("create golden dir");
@@ -79,12 +86,12 @@ fn all_experiment_sweep_json_is_byte_identical_to_golden() {
         json, golden,
         "experiment-sweep output drifted from the golden fixture"
     );
-    // The fixture is worker-count independent by construction; one spot
-    // check keeps the claim honest without doubling the runtime of every
-    // run: sequential must reproduce the parallel bytes.
+    // The fixture is worker-count and execution-mode independent by
+    // construction. The second pass keeps that claim honest on one
+    // worker, through every experiment's shard checkpoint and merge.
     assert_eq!(
-        all_experiments_json(1),
+        sharded_json(),
         golden,
-        "sequential sweep diverged from the golden fixture"
+        "sequential three-shard sweep merged back diverged from the golden fixture"
     );
 }

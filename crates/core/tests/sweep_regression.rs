@@ -2,17 +2,18 @@
 //! hand-rolled sequential loops they replaced, at every worker count.
 //!
 //! Each test re-implements the pre-refactor loop verbatim (fresh simulator
-//! per configuration, lazy isolated-time cache, nested size × workload ×
-//! config iteration) and compares every floating-point outcome with `==` —
-//! no tolerance — against the refactored harness run sequentially and in
-//! parallel.
+//! per configuration, per-workload isolated times from a context-switch
+//! simulator, nested size × workload × config iteration) and compares
+//! every floating-point outcome with `==` — no tolerance — against the
+//! refactored harness run sequentially and in parallel.
 
 use gpreempt::config::{PolicyKind, SimulatorConfig};
 use gpreempt::experiments::{
-    simulator_with_mechanism, ExperimentScale, Fig2Results, IsolatedRunCache, IsolatedTimes,
-    MechanismResults, PriorityConfig, PriorityResults, SpatialConfig, SpatialResults,
+    self, isolated_times_with_cache, Driver, Experiment, ExperimentScale, Fig2Results,
+    IsolatedRunCache, MechanismResults, PriorityConfig, PriorityResults, SpatialConfig,
+    SpatialResults,
 };
-use gpreempt::sweep::{Scenario, SweepPlan, SweepRecord, SweepReport, SweepRunner};
+use gpreempt::sweep::{Scenario, SweepExec, SweepPlan, SweepRecord, SweepReport, SweepRunner};
 use gpreempt::Simulator;
 use gpreempt_gpu::PreemptionMechanism;
 use gpreempt_trace::{parboil, ProcessSpec, Workload};
@@ -24,6 +25,16 @@ type SpatialExpectation = (SpatialConfig, f64, f64, f64, Vec<f64>);
 /// Per-configuration expectations of one prioritised workload:
 /// (config, high-priority ntt, stp).
 type PriorityExpectation = (PriorityConfig, f64, f64);
+
+/// A simulator pinned to one preemption mechanism; context switch is the
+/// mechanism isolated runs execute under.
+fn simulator(config: &SimulatorConfig, mechanism: PreemptionMechanism) -> Simulator {
+    Simulator::new(config.clone().with_mechanism(mechanism))
+}
+
+fn run<E: Experiment>(scale: &ExperimentScale, jobs: usize) -> E {
+    experiments::run(&SimulatorConfig::default(), scale, &SweepRunner::new(jobs)).unwrap()
+}
 
 fn tiny_scale() -> ExperimentScale {
     let mut scale = ExperimentScale::quick().with_benchmarks(["spmv", "sgemm", "mri-q"]);
@@ -40,17 +51,16 @@ fn spatial_results_match_the_pre_sweep_sequential_loop() {
 
     // The pre-refactor loop, verbatim.
     let mut generator = scale.generator(&config);
-    let mut isolated = IsolatedTimes::new();
-    let reference_sim = simulator_with_mechanism(&config, PreemptionMechanism::ContextSwitch);
+    let reference_sim = simulator(&config, PreemptionMechanism::ContextSwitch);
     let mut expected: Vec<(String, Vec<SpatialExpectation>)> = Vec::new();
     for &size in &scale.workload_sizes {
         for workload in generator.random_population(size, scale.random_workloads) {
             let workload = scale.finalize(workload);
-            let iso = isolated.for_workload(&reference_sim, &workload).unwrap();
+            let iso = reference_sim.isolated_times(&workload).unwrap();
             let mut per_cfg = Vec::new();
             for cfg in SpatialConfig::all() {
                 let (policy, mechanism) = cfg.policy_and_mechanism();
-                let sim = simulator_with_mechanism(&config, mechanism);
+                let sim = simulator(&config, mechanism);
                 let run = sim.run(&workload, policy).unwrap();
                 let metrics = run.metrics(&iso).unwrap();
                 per_cfg.push((
@@ -66,7 +76,7 @@ fn spatial_results_match_the_pre_sweep_sequential_loop() {
     }
 
     for jobs in [1usize, 2, 8] {
-        let results = SpatialResults::run_with(&config, &scale, &SweepRunner::new(jobs)).unwrap();
+        let results: SpatialResults = run(&scale, jobs);
         assert_eq!(results.records().len(), expected.len(), "jobs={jobs}");
         for (record, (name, per_cfg)) in results.records().iter().zip(&expected) {
             assert_eq!(&record.workload, name, "jobs={jobs}");
@@ -87,18 +97,17 @@ fn priority_results_match_the_pre_sweep_sequential_loop() {
     let scale = tiny_scale();
 
     let mut generator = scale.generator(&config);
-    let mut isolated = IsolatedTimes::new();
-    let reference_sim = simulator_with_mechanism(&config, PreemptionMechanism::ContextSwitch);
+    let reference_sim = simulator(&config, PreemptionMechanism::ContextSwitch);
     let mut expected: Vec<(String, Vec<PriorityExpectation>)> = Vec::new();
     for &size in &scale.workload_sizes {
         for workload in generator.prioritized_population(size, scale.reps_per_benchmark) {
             let workload = scale.finalize(workload);
-            let iso = isolated.for_workload(&reference_sim, &workload).unwrap();
+            let iso = reference_sim.isolated_times(&workload).unwrap();
             let hp = workload.high_priority_process().unwrap();
             let mut per_cfg = Vec::new();
             for cfg in PriorityConfig::all() {
                 let (policy, mechanism) = cfg.policy_and_mechanism();
-                let sim = simulator_with_mechanism(&config, mechanism);
+                let sim = simulator(&config, mechanism);
                 let run = sim.run(&workload, policy).unwrap();
                 let metrics = run.metrics(&iso).unwrap();
                 per_cfg.push((cfg, metrics.ntt()[hp.index()], metrics.stp()));
@@ -108,7 +117,7 @@ fn priority_results_match_the_pre_sweep_sequential_loop() {
     }
 
     for jobs in [1usize, 4] {
-        let results = PriorityResults::run_with(&config, &scale, &SweepRunner::new(jobs)).unwrap();
+        let results: PriorityResults = run(&scale, jobs);
         assert_eq!(results.records().len(), expected.len(), "jobs={jobs}");
         for (record, (name, per_cfg)) in results.records().iter().zip(&expected) {
             assert_eq!(&record.workload, name, "jobs={jobs}");
@@ -132,31 +141,31 @@ fn fig2_results_match_the_pre_sweep_sequential_loop() {
     let workload = Fig2Results::workload();
     let mut expected = Vec::new();
     for policy in [PolicyKind::Fcfs, PolicyKind::Npq, PolicyKind::PpqExclusive] {
-        let sim = simulator_with_mechanism(&config, PreemptionMechanism::ContextSwitch);
+        let sim = simulator(&config, PreemptionMechanism::ContextSwitch);
         let run = sim.run(&workload, policy).unwrap();
         expected.push((policy, run.end_time(), run.events_processed()));
     }
 
+    let scale = ExperimentScale::quick();
     for jobs in [1usize, 3] {
-        let results = Fig2Results::run_with(&config, &SweepRunner::new(jobs)).unwrap();
+        let results: Fig2Results = run(&scale, jobs);
         assert_eq!(results.timelines.len(), 3);
         for (timeline, (policy, _, _)) in results.timelines.iter().zip(&expected) {
             assert_eq!(timeline.policy, *policy);
         }
         // The timelines derive deterministically from the same runs.
-        let sequential = Fig2Results::run(&config).unwrap();
+        let sequential: Fig2Results = run(&scale, 1);
         assert_eq!(results, sequential, "jobs={jobs}");
     }
 }
 
 #[test]
 fn mechanism_results_are_identical_across_worker_counts() {
-    let config = SimulatorConfig::default();
     let mut scale = tiny_scale();
     scale.random_workloads = 2;
 
-    let sequential = MechanismResults::run(&config, &scale).unwrap();
-    let parallel = MechanismResults::run_with(&config, &scale, &SweepRunner::new(4)).unwrap();
+    let sequential: MechanismResults = run(&scale, 1);
+    let parallel: MechanismResults = run(&scale, 4);
     assert_eq!(sequential.records().len(), parallel.records().len());
     for (a, b) in sequential.records().iter().zip(parallel.records()) {
         assert_eq!(a.workload, b.workload);
@@ -168,11 +177,8 @@ fn mechanism_results_are_identical_across_worker_counts() {
 
 #[test]
 fn harness_reports_cover_every_record_and_validate() {
-    let config = SimulatorConfig::default();
     let scale = tiny_scale();
-    let runner = SweepRunner::new(2);
-
-    let spatial = SpatialResults::run_with(&config, &scale, &runner).unwrap();
+    let spatial: SpatialResults = run(&scale, 2);
     let report = spatial.report();
     assert_eq!(
         report.len(),
@@ -188,7 +194,7 @@ fn harness_reports_cover_every_record_and_validate() {
         .iter()
         .any(|e| e.group == "isolated"));
 
-    let fig2 = Fig2Results::run_with(&config, &runner).unwrap();
+    let fig2: Fig2Results = run(&scale, 2);
     assert_eq!(fig2.report().len(), 3);
     assert!(gpreempt::SweepReport::validate_json(&fig2.report().to_json()).is_ok());
 }
@@ -284,7 +290,15 @@ fn shared_isolated_cache_runs_each_isolated_scenario_exactly_once() {
     let runner = SweepRunner::new(2);
 
     let cache = IsolatedRunCache::new();
-    let spatial = SpatialResults::run_with_cache(&config, &scale, &runner, &cache).unwrap();
+    let driver = Driver {
+        config: &config,
+        scale: &scale,
+        runner: &runner,
+        cache: &cache,
+        sink: None,
+        exec: SweepExec::Full,
+    };
+    let spatial = driver.run::<SpatialResults>().unwrap().unwrap();
     let simulated_by_first = cache.misses();
     assert!(simulated_by_first > 0, "first experiment fills the cache");
     assert_eq!(cache.len() as u64, simulated_by_first);
@@ -292,7 +306,7 @@ fn shared_isolated_cache_runs_each_isolated_scenario_exactly_once() {
     // Mechanism draws the exact same random population as spatial, so its
     // isolated phase is fully served from the cache: zero new simulations,
     // zero enumerated "isolated" scenarios.
-    let mechanism = MechanismResults::run_with_cache(&config, &scale, &runner, &cache).unwrap();
+    let mechanism = driver.run::<MechanismResults>().unwrap().unwrap();
     assert_eq!(
         cache.misses(),
         simulated_by_first,
@@ -310,7 +324,7 @@ fn shared_isolated_cache_runs_each_isolated_scenario_exactly_once() {
     // Priority's population may introduce benchmarks spatial never drew;
     // those (and only those) are simulated. Globally, every distinct
     // benchmark is simulated exactly once: misses == cache entries.
-    let priority = PriorityResults::run_with_cache(&config, &scale, &runner, &cache).unwrap();
+    let priority = driver.run::<PriorityResults>().unwrap().unwrap();
     assert_eq!(
         cache.misses(),
         cache.len() as u64,
@@ -320,9 +334,9 @@ fn shared_isolated_cache_runs_each_isolated_scenario_exactly_once() {
 
     // Cached isolated times are bit-identical to freshly computed ones, so
     // the reports agree byte for byte with uncached runs.
-    let spatial_fresh = SpatialResults::run_with(&config, &scale, &runner).unwrap();
-    let mechanism_fresh = MechanismResults::run_with(&config, &scale, &runner).unwrap();
-    let priority_fresh = PriorityResults::run_with(&config, &scale, &runner).unwrap();
+    let spatial_fresh: SpatialResults = run(&scale, 2);
+    let mechanism_fresh: MechanismResults = run(&scale, 2);
+    let priority_fresh: PriorityResults = run(&scale, 2);
     assert_eq!(spatial.report().to_json(), spatial_fresh.report().to_json());
     assert_eq!(
         mechanism.report().to_json(),
@@ -334,23 +348,23 @@ fn shared_isolated_cache_runs_each_isolated_scenario_exactly_once() {
     );
 }
 
+/// The batched isolated phase reproduces `Simulator::isolated_times` — the
+/// same per-benchmark FCFS runs on a context-switch simulator.
 #[test]
 fn isolated_sweep_times_match_simulator_isolated_times() {
     let config = SimulatorConfig::default();
     let scale = tiny_scale();
     let mut generator = scale.generator(&config);
     let workload = scale.finalize(generator.random_workload(2));
-    let reference = Simulator::new(
-        config
-            .clone()
-            .with_mechanism(PreemptionMechanism::ContextSwitch),
-    );
-    let expected = reference.isolated_times(&workload).unwrap();
-    let (cache, _) = gpreempt::experiments::isolated_times_via(
+    let expected = simulator(&config, PreemptionMechanism::ContextSwitch)
+        .isolated_times(&workload)
+        .unwrap();
+    let (times, _) = isolated_times_with_cache(
         &SweepRunner::new(2),
         &config,
-        std::iter::once(&workload),
+        [&workload],
+        &IsolatedRunCache::new(),
     )
     .unwrap();
-    assert_eq!(cache.times_for(&workload).unwrap(), expected);
+    assert_eq!(times.times_for(&workload).unwrap(), expected);
 }

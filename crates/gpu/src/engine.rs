@@ -10,9 +10,9 @@
 //! All hot state lives in slab/arena storage sized by the SM count: the
 //! KSRT is a generational slab (stale [`KsrIndex`] handles can never alias
 //! a reused slot), the SMST is split into hot and cold parallel arrays so
-//! scheduler scans stay on contiguous cache lines, and [`reset`]
-//! (ExecutionEngine::reset) rewinds everything without freeing, so one
-//! engine allocation can service an entire scenario stream.
+//! scheduler scans stay on contiguous cache lines, and
+//! [`reset`](ExecutionEngine::reset) rewinds everything without freeing, so
+//! one engine allocation can service an entire scenario stream.
 
 use crate::estimator::{PreemptionEstimate, RemainingTimeEstimator};
 use crate::framework::{

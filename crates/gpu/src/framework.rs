@@ -6,8 +6,8 @@
 //! * the **Kernel Status Register Table** (KSRT) — one [`KernelState`] per
 //!   active kernel, indexed by the generational [`KsrIndex`],
 //! * the **SM Status Table** (SMST) — per-SM state split into a hot
-//!   struct-of-arrays column ([`SmHot`]: the fields every scheduler scan
-//!   touches) and cold bookkeeping ([`SmCold`]), re-stitched into the
+//!   struct-of-arrays column (`SmHot`: the fields every scheduler scan
+//!   touches) and cold bookkeeping (`SmCold`), re-stitched into the
 //!   public [`SmStatus`] view,
 //! * the **Preempted Thread Block Queues** (PTBQ) — per-kernel queues of
 //!   thread blocks that were context-switched out and wait to be re-issued.

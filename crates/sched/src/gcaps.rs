@@ -10,9 +10,10 @@
 //!   deadline is served first, and may preempt equal-priority kernels whose
 //!   deadlines are strictly later;
 //! * **preemption-cost awareness** — before taking an SM away, the policy
-//!   consults the engine's [`PreemptionCostView`] (the same online
-//!   remaining-time estimates the adaptive mechanism selector acts on) and
-//!   preempts only when the expected latency is worth paying: within the
+//!   consults the engine's
+//!   [`PreemptionCostView`](gpreempt_gpu::PreemptionCostView) (the same
+//!   online remaining-time estimates the adaptive mechanism selector acts
+//!   on) and preempts only when the expected latency is worth paying: within the
 //!   configured latency budget, and — for the *equal-priority deadline
 //!   races* GCAPS adds over PPQ — small enough that the hand-over
 //!   completes inside the waiter's remaining slack. Priority-based

@@ -32,7 +32,8 @@ pub struct ProcessSpec {
     pub backlog_cap: u32,
     /// When `Some`, the host samples this process's queue depth at this
     /// fixed simulated interval, producing a depth *trace* over time in
-    /// [`ArrivalStats`] instead of only the time-weighted mean and peak.
+    /// the host's `ArrivalStats` instead of only the time-weighted mean and
+    /// peak.
     /// `None` (the default) keeps tracing off and stats allocation-free.
     pub depth_trace: Option<SimTime>,
 }

@@ -2,7 +2,7 @@
 //!
 //! A kernel's *footprint* describes the per-thread-block hardware resources
 //! it needs (registers, shared memory, threads). The footprint, combined
-//! with the [`GpuConfig`](crate::GpuConfig), determines how many thread
+//! with the [`GpuConfig`], determines how many thread
 //! blocks fit on one SM and how much state the context-switch preemption
 //! mechanism must save.
 

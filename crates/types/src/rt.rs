@@ -8,7 +8,7 @@
 //! carries the timing contract of one process: the relative deadline each
 //! completed execution must meet, the nominal release period, and a
 //! [`Criticality`] level that maps onto a scheduling
-//! [`Priority`](crate::Priority).
+//! [`Priority`].
 //!
 //! Legacy workloads simply carry no `RtSpec`; everything downstream (engine
 //! deadline ticks, deadline-aware policies, miss-rate metrics) degrades to

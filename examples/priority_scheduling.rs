@@ -7,7 +7,8 @@
 //! cargo run --release --example priority_scheduling
 //! ```
 
-use gpreempt::experiments::{ExperimentScale, PriorityConfig, PriorityResults};
+use gpreempt::experiments::{self, ExperimentScale, PriorityConfig, PriorityResults};
+use gpreempt::sweep::SweepRunner;
 use gpreempt::SimulatorConfig;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -21,7 +22,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "running {} prioritised workloads ...",
         scale.workload_sizes.len()
     );
-    let results = PriorityResults::run(&config, &scale)?;
+    let results: PriorityResults = experiments::run(&config, &scale, &SweepRunner::sequential())?;
 
     println!("{}", results.render_fig5().render());
     println!("{}", results.render_fig6(false).render());

@@ -7,11 +7,17 @@
 //! cargo run --release --example realtime_timeline
 //! ```
 
-use gpreempt::experiments::Fig2Results;
+use gpreempt::experiments::{self, ExperimentScale, Fig2Results};
+use gpreempt::sweep::SweepRunner;
 use gpreempt::SimulatorConfig;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let results = Fig2Results::run(&SimulatorConfig::default())?;
+    // The scenario is fixed; the scale plays no part in it.
+    let results: Fig2Results = experiments::run(
+        &SimulatorConfig::default(),
+        &ExperimentScale::quick(),
+        &SweepRunner::sequential(),
+    )?;
     println!("{}", results.render().render());
 
     let fcfs = results

@@ -7,7 +7,8 @@
 //! cargo run --release --example spatial_sharing
 //! ```
 
-use gpreempt::experiments::{ExperimentScale, SpatialConfig, SpatialResults};
+use gpreempt::experiments::{self, ExperimentScale, SpatialConfig, SpatialResults};
+use gpreempt::sweep::SweepRunner;
 use gpreempt::SimulatorConfig;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -18,7 +19,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "running {} random workloads per size {:?} ...",
         scale.random_workloads, scale.workload_sizes
     );
-    let results = SpatialResults::run(&config, &scale)?;
+    let results: SpatialResults = experiments::run(&config, &scale, &SweepRunner::sequential())?;
 
     println!("{}", results.render_fig7a().render());
     println!("{}", results.render_fig7b().render());

@@ -7,16 +7,23 @@
 //! mechanisms differ.
 
 use gpreempt::experiments::{
-    ExperimentScale, Fig2Results, PriorityConfig, PriorityResults, SpatialConfig, SpatialResults,
-    Table1,
+    self, Experiment, ExperimentScale, Fig2Results, PriorityConfig, PriorityResults, SpatialConfig,
+    SpatialResults, Table1,
 };
+use gpreempt::sweep::SweepRunner;
 use gpreempt::{PolicyKind, SimulatorConfig};
 use gpreempt_types::KernelClass;
 
-fn scale() -> ExperimentScale {
-    // Five mid-sized benchmarks, 2- and 4-process workloads, one completed
-    // execution per process: seconds in debug mode.
-    ExperimentScale::quick()
+/// Runs one experiment sequentially at the quick scale: five mid-sized
+/// benchmarks, 2- and 4-process workloads, one completed execution per
+/// process — seconds in debug mode.
+fn run<E: Experiment>() -> E {
+    experiments::run(
+        &SimulatorConfig::default(),
+        &ExperimentScale::quick(),
+        &SweepRunner::sequential(),
+    )
+    .unwrap()
 }
 
 /// §4.2 / Figure 5: preemptive prioritisation improves the turnaround time
@@ -24,7 +31,7 @@ fn scale() -> ExperimentScale {
 /// and the benefit grows with the number of co-scheduled processes.
 #[test]
 fn preemption_improves_high_priority_turnaround() {
-    let results = PriorityResults::run(&SimulatorConfig::default(), &scale()).unwrap();
+    let results = run::<PriorityResults>();
     let sizes = results.sizes().to_vec();
     let largest = *sizes.last().unwrap();
 
@@ -62,7 +69,7 @@ fn preemption_improves_high_priority_turnaround() {
 /// scheduling of low-priority kernels) does not help.
 #[test]
 fn preemption_costs_some_throughput() {
-    let results = PriorityResults::run(&SimulatorConfig::default(), &scale()).unwrap();
+    let results = run::<PriorityResults>();
     for &size in results.sizes() {
         for cfg in [
             PriorityConfig::PpqContextSwitch,
@@ -86,7 +93,7 @@ fn preemption_costs_some_throughput() {
 /// and overall fairness, at some throughput cost; long applications pay.
 #[test]
 fn dss_helps_short_applications_and_fairness() {
-    let results = SpatialResults::run(&SimulatorConfig::default(), &scale()).unwrap();
+    let results = run::<SpatialResults>();
     let &size = results.sizes().last().unwrap();
 
     let short = results.fig7a_improvement(
@@ -121,7 +128,7 @@ fn dss_helps_short_applications_and_fairness() {
 /// FCFS once several processes share the GPU.
 #[test]
 fn dss_lowers_antt_distribution() {
-    let results = SpatialResults::run(&SimulatorConfig::default(), &scale()).unwrap();
+    let results = run::<SpatialResults>();
     let &size = results.sizes().last().unwrap();
     let fcfs = results.fig8_sorted_antt(size, SpatialConfig::Fcfs);
     let dss = results.fig8_sorted_antt(size, SpatialConfig::DssContextSwitch);
@@ -142,7 +149,7 @@ fn dss_lowers_antt_distribution() {
 /// reduces the latency of the soft real-time kernel.
 #[test]
 fn figure2_timeline_shape() {
-    let results = Fig2Results::run(&SimulatorConfig::default()).unwrap();
+    let results = run::<Fig2Results>();
     let fcfs = results.timeline(PolicyKind::Fcfs).unwrap();
     let npq = results.timeline(PolicyKind::Npq).unwrap();
     let ppq = results.timeline(PolicyKind::PpqExclusive).unwrap();

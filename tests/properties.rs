@@ -471,7 +471,7 @@ proptest! {
     /// worker ran them.
     #[test]
     fn sweep_report_json_is_byte_identical_across_worker_counts(seed in 1u64..100_000) {
-        use gpreempt::experiments::{ExperimentScale, SpatialResults};
+        use gpreempt::experiments::{self, Experiment, ExperimentScale, SpatialResults};
         use gpreempt::sweep::SweepRunner;
         use gpreempt::SimulatorConfig;
 
@@ -481,14 +481,15 @@ proptest! {
         scale.random_workloads = 2;
         scale.seed = seed;
 
-        let sequential = SpatialResults::run_with(&config, &scale, &SweepRunner::new(1))
+        let sequential = experiments::run::<SpatialResults>(&config, &scale, &SweepRunner::new(1))
             .unwrap()
             .report()
             .to_json();
         prop_assert!(!sequential.is_empty());
         for jobs in [2usize, 8] {
-            let parallel = SpatialResults::run_with(&config, &scale, &SweepRunner::new(jobs))
-                .unwrap()
+            let parallel =
+                experiments::run::<SpatialResults>(&config, &scale, &SweepRunner::new(jobs))
+                    .unwrap()
                 .report()
                 .to_json();
             prop_assert_eq!(&sequential, &parallel, "jobs={}", jobs);
