@@ -1,4 +1,4 @@
-//! Times `SweepRunner::run_fold` itself — the streaming sweep pipeline —
+//! Times `SweepRunner::run_fold_tap` itself — the streaming sweep pipeline —
 //! at several worker counts, so the parallel speedup curve is tracked by
 //! `cargo bench` (the ROADMAP's criterion-integration item).
 //!
@@ -22,7 +22,8 @@ use criterion::{criterion_group, Criterion, Throughput};
 use gpreempt::experiments::ExperimentScale;
 use gpreempt::json::Value;
 use gpreempt::sweep::{Scenario, SweepPlan, SweepRunner};
-use gpreempt::{PolicyKind, SimulatorConfig};
+use gpreempt::types::SimError;
+use gpreempt::{PolicyKind, SimulationRun, SimulatorConfig};
 use std::time::{Duration, Instant};
 
 /// The timed unit: a quick-scale random population under FCFS and DSS —
@@ -48,11 +49,16 @@ fn plan() -> SweepPlan {
     plan
 }
 
+/// The fold every leg streams each run through: its event count.
+fn events_of(_: &Scenario, run: SimulationRun) -> Result<u64, SimError> {
+    Ok(run.events_processed())
+}
+
 /// Streams the plan once, returning (wall clock, total simulation events).
 fn run_once(plan: &SweepPlan, jobs: usize) -> (Duration, u64) {
     let started = Instant::now();
     let folded = SweepRunner::new(jobs)
-        .run_fold(plan, &|_, run| Ok(run.events_processed()))
+        .run_fold_tap(plan, &events_of, &|_, _| Ok(()))
         .expect("sweep failed");
     (started.elapsed(), folded.events_total())
 }
@@ -66,7 +72,7 @@ fn run_sharded(plan: &SweepPlan, n: usize) -> Duration {
     for k in 0..n {
         let ids: Vec<usize> = (0..plan.len()).filter(|id| id % n == k).collect();
         runner
-            .run_fold_subset(plan, &ids, &|_, run| Ok(run.events_processed()))
+            .run_fold_tap_subset(plan, &ids, &events_of, &|_, _| Ok(()))
             .expect("sharded sweep failed");
     }
     started.elapsed()
@@ -77,7 +83,7 @@ fn run_once_pinned(plan: &SweepPlan) -> Duration {
     let runner = SweepRunner::new(2).with_affinity(true);
     let started = Instant::now();
     runner
-        .run_fold(plan, &|_, run| Ok(run.events_processed()))
+        .run_fold_tap(plan, &events_of, &|_, _| Ok(()))
         .expect("pinned sweep failed");
     started.elapsed()
 }
@@ -85,7 +91,7 @@ fn run_once_pinned(plan: &SweepPlan) -> Duration {
 fn bench_sweep_throughput(c: &mut Criterion) {
     let plan = plan();
     let (_, events) = run_once(&plan, 1); // warm + count events
-    let mut group = c.benchmark_group("sweep/run_fold");
+    let mut group = c.benchmark_group("sweep/run_fold_tap");
     group.throughput(Throughput::Elements(events));
     for jobs in [1usize, 2, 4] {
         group.bench_function(format!("jobs{jobs}"), |b| b.iter(|| run_once(&plan, jobs)));

@@ -51,6 +51,9 @@
 //!   the unchanged aggregation, emitting a report byte-identical to the
 //!   unsharded run. Accepts `--format`, `--out`, `--jobs`, `--timing`.
 
+mod cli;
+
+use cli::{number_of, value_of};
 use gpreempt::experiments::{
     self, Driver, ExperimentScale, IsolatedRunCache, Registered, SweepOutput,
 };
@@ -80,10 +83,10 @@ enum Format {
     Json,
 }
 
-fn parse_format(arg: Option<&str>) -> Result<Format, String> {
+fn parse_format(arg: &str) -> Result<Format, String> {
     match arg {
-        Some("table") => Ok(Format::Table),
-        Some("json") => Ok(Format::Json),
+        "table" => Ok(Format::Table),
+        "json" => Ok(Format::Json),
         other => Err(format!("unknown format {other:?}")),
     }
 }
@@ -175,18 +178,17 @@ fn progress(timing_table: bool) -> impl FnMut(&str, &SweepTiming) {
 /// unsharded run would have produced (byte-identical by construction — the
 /// aggregation code is the same, fed the same per-scenario values in the
 /// same order).
-fn merge_main(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
+fn merge_main(mut args: impl Iterator<Item = String>) -> Result<(), Box<dyn std::error::Error>> {
     let mut format = Format::Table;
     let mut out_path: Option<String> = None;
     let mut jobs = 0usize;
     let mut timing_table = false;
     let mut files: Vec<String> = Vec::new();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
+    while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--format" => format = parse_format(it.next().map(String::as_str))?,
-            "--out" => out_path = Some(it.next().ok_or("missing output path")?.clone()),
-            "--jobs" => jobs = it.next().ok_or("missing job count")?.parse()?,
+            "--format" => format = parse_format(&value_of(&mut args, "--format")?)?,
+            "--out" => out_path = Some(value_of(&mut args, "--out")?),
+            "--jobs" => jobs = number_of(&mut args, "--jobs")?,
             "--timing" => timing_table = true,
             "--help" | "-h" => {
                 usage();
@@ -195,7 +197,7 @@ fn merge_main(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
             other if other.starts_with("--") => {
                 return Err(format!("unknown merge option {other:?} (see --help)").into())
             }
-            path => files.push(path.to_string()),
+            _ => files.push(arg),
         }
     }
     if files.is_empty() {
@@ -240,7 +242,7 @@ fn merge_main(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let cli: Vec<String> = std::env::args().skip(1).collect();
     if cli.first().map(String::as_str) == Some("merge") {
-        return merge_main(&cli[1..]);
+        return merge_main(cli.into_iter().skip(1));
     }
 
     let mut experiment = "all".to_string();
@@ -258,20 +260,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut args = cli.into_iter();
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--experiment" => experiment = args.next().unwrap_or("(missing)".into()),
-            "--scale" => scale_name = args.next().ok_or("missing scale")?,
-            "--jobs" => jobs = args.next().ok_or("missing job count")?.parse()?,
-            "--out" => out_path = Some(args.next().ok_or("missing output path")?),
-            "--format" => format = parse_format(args.next().as_deref())?,
-            "--seed" => seed = Some(args.next().ok_or("missing seed")?.parse()?),
+            "--experiment" => experiment = value_of(&mut args, "--experiment")?,
+            "--scale" => scale_name = value_of(&mut args, "--scale")?,
+            "--jobs" => jobs = number_of(&mut args, "--jobs")?,
+            "--out" => out_path = Some(value_of(&mut args, "--out")?),
+            "--format" => format = parse_format(&value_of(&mut args, "--format")?)?,
+            "--seed" => seed = Some(number_of(&mut args, "--seed")?),
             "--affinity" => affinity = true,
-            "--depth-trace" => {
-                depth_trace_us = Some(args.next().ok_or("missing depth-trace interval")?.parse()?);
-            }
-            "--shard" => {
-                shard = Some(ShardSpec::parse(&args.next().ok_or("missing shard spec")?)?);
-            }
-            "--shard-out" => shard_out = Some(args.next().ok_or("missing shard path")?),
+            "--depth-trace" => depth_trace_us = Some(number_of(&mut args, "--depth-trace")?),
+            "--shard" => shard = Some(ShardSpec::parse(&value_of(&mut args, "--shard")?)?),
+            "--shard-out" => shard_out = Some(value_of(&mut args, "--shard-out")?),
             "--timing" => timing_table = true,
             "--validate" => return validate_stdin(),
             "--help" | "-h" => {

@@ -21,6 +21,9 @@
 //! * `--completions <n>` replay target (default 3)
 //! * `--seed <n>` RNG seed
 
+mod cli;
+
+use cli::{number_of, value_of};
 use gpreempt::{PolicyKind, Simulator, SimulatorConfig};
 use gpreempt_gpu::MechanismSelection;
 use gpreempt_trace::{parboil, ProcessSpec, Workload};
@@ -67,34 +70,29 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--policy" => {
-                policy = match args.next().as_deref() {
-                    Some("fcfs") => PolicyKind::Fcfs,
-                    Some("npq") => PolicyKind::Npq,
-                    Some("ppq") => PolicyKind::PpqExclusive,
-                    Some("ppq-shared") => PolicyKind::PpqShared,
-                    Some("dss") => PolicyKind::Dss,
-                    Some("gcaps") => PolicyKind::Gcaps,
-                    Some("edf") => PolicyKind::Edf,
-                    Some("rr") => PolicyKind::RoundRobin,
+                policy = match value_of(&mut args, "--policy")?.as_str() {
+                    "fcfs" => PolicyKind::Fcfs,
+                    "npq" => PolicyKind::Npq,
+                    "ppq" => PolicyKind::PpqExclusive,
+                    "ppq-shared" => PolicyKind::PpqShared,
+                    "dss" => PolicyKind::Dss,
+                    "gcaps" => PolicyKind::Gcaps,
+                    "edf" => PolicyKind::Edf,
+                    "rr" => PolicyKind::RoundRobin,
                     other => return Err(format!("unknown policy {other:?}").into()),
                 }
             }
-            "--mechanism" => {
-                let value = args.next().ok_or("missing mechanism")?;
-                mechanism = parse_mechanism(&value)?;
-            }
-            "--high-priority" => {
-                high_priority = Some(args.next().ok_or("missing index")?.parse()?);
-            }
+            "--mechanism" => mechanism = parse_mechanism(&value_of(&mut args, "--mechanism")?)?,
+            "--high-priority" => high_priority = Some(number_of(&mut args, "--high-priority")?),
             "--deadline-ms" => {
-                let ms: f64 = args.next().ok_or("missing deadline")?.parse()?;
+                let ms: f64 = number_of(&mut args, "--deadline-ms")?;
                 if !ms.is_finite() || ms <= 0.0 {
-                    return Err("deadline must be positive".into());
+                    return Err(format!("--deadline-ms must be positive, got {ms}").into());
                 }
                 deadline = Some(SimTime::from_micros_f64(ms * 1_000.0));
             }
-            "--completions" => completions = args.next().ok_or("missing count")?.parse()?,
-            "--seed" => seed = args.next().ok_or("missing seed")?.parse()?,
+            "--completions" => completions = number_of(&mut args, "--completions")?,
+            "--seed" => seed = number_of(&mut args, "--seed")?,
             "--help" | "-h" => {
                 println!("usage: run_workload [options] <benchmark> [<benchmark> ...]");
                 println!("benchmarks: {}", parboil::BENCHMARK_NAMES.join(", "));
@@ -110,6 +108,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             "histo".into(),
             "mri-q".into(),
         ];
+    }
+    if let Some(index) = high_priority.filter(|&i| i >= names.len()) {
+        return Err(format!(
+            "--high-priority {index} is out of range: the workload has {} processes",
+            names.len()
+        )
+        .into());
     }
 
     let config = SimulatorConfig::default()

@@ -78,10 +78,10 @@ impl ExperimentScale {
         }
     }
 
-    /// A middle ground used by the default `cargo bench` harness: every
-    /// benchmark and all four workload sizes, but fewer random workloads and
-    /// a single completed execution per process, so the whole harness runs
-    /// in minutes rather than tens of minutes.
+    /// A middle ground (`run_sweep --scale bench`): every benchmark and all
+    /// four workload sizes, but fewer random workloads and a single
+    /// completed execution per process, so the whole sweep runs in minutes
+    /// rather than tens of minutes.
     pub fn bench() -> Self {
         ExperimentScale {
             workload_sizes: vec![2, 4, 6, 8],
@@ -350,7 +350,11 @@ pub fn isolated_times_with_cache<'a>(
             plan.push(Scenario::new("isolated", name, isolated, PolicyKind::Fcfs));
         }
     }
-    let results = runner.run_fold(&plan, &|_, run| Ok(Simulator::isolated_time_of(&run)))?;
+    let results = runner.run_fold_tap(
+        &plan,
+        &|_, run| Ok(Simulator::isolated_time_of(&run)),
+        &|_, _| Ok(()),
+    )?;
     let timing = results.timing(&plan);
     for (name, outcome) in missing.into_iter().zip(results.outcomes()) {
         cache.insert(name.clone(), fingerprint, outcome.value);

@@ -44,8 +44,9 @@
 //! [`EXPERIMENTS`] lists the six sweeps in the order `run_sweep
 //! --experiment all` runs them; the shard schema fingerprint hashes their
 //! schema entries in that order. All harnesses take an [`ExperimentScale`]:
-//! `quick()` for smoke runs, `bench()` for the default `cargo bench`
-//! harness and `paper()` for the full evaluation population.
+//! `quick()` for smoke runs and the default of `run_sweep`, `bench()` for a
+//! reduced full-breadth population and `paper()` for the full evaluation
+//! population.
 
 pub mod common;
 mod driver;

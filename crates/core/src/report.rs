@@ -1,8 +1,8 @@
 //! Plain-text table rendering for the experiment harnesses.
 //!
 //! Every experiment can render its results as an aligned text table so that
-//! `cargo bench` / the example binaries print output directly comparable to
-//! the paper's tables and figures.
+//! `run_sweep --format table` and the example binaries print output directly
+//! comparable to the paper's tables and figures.
 
 use std::fmt::Write as _;
 

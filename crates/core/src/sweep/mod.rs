@@ -14,13 +14,13 @@
 //! * a [`SweepRunner`] executes the plan across worker threads
 //!   (`--jobs N`), reassembling results in scenario-id order so parallel
 //!   output is **bit-identical** to sequential output and to the historical
-//!   sequential harnesses. [`SweepRunner::run_fold`] is the **streaming**
-//!   mode every experiment harness uses: each finished
-//!   [`SimulationRun`](crate::SimulationRun) is folded into a small
-//!   per-scenario record on the worker that simulated it and dropped, so a
-//!   sweep holds at most one run body per worker — memory is O(scenarios),
-//!   not O(runs × completions). [`SweepRunner::run`] is the opt-in
-//!   `keep_runs` mode the regression tests use;
+//!   sequential harnesses. [`SweepRunner::run_fold_tap`] streams: each
+//!   finished [`SimulationRun`](crate::SimulationRun) is folded into a
+//!   small per-scenario record on the worker that simulated it and dropped,
+//!   so a sweep holds at most one run body per worker — memory is
+//!   O(scenarios), not O(runs × completions).
+//!   [`SweepRunner::run_fold_tap_subset`] runs only the given ids (a
+//!   shard's stripe);
 //! * a [`SweepReport`] carries the machine-readable results (hand-rolled
 //!   JSON — the environment is offline), while [`SweepTiming`] carries the
 //!   run-to-run-varying wall-clock numbers separately.
@@ -44,9 +44,11 @@
 //!     .with_min_completions(1);
 //!     plan.push(Scenario::new("demo", policy.label(), workload, policy));
 //! }
-//! let results = SweepRunner::new(2).run(&plan).unwrap();
+//! let results = SweepRunner::new(2)
+//!     .run_fold_tap(&plan, &|_, run| Ok(run.end_time()), &|_, _| Ok(()))
+//!     .unwrap();
 //! assert_eq!(results.len(), 2);
-//! assert!(results.run_of(0).end_time() > gpreempt_types::SimTime::ZERO);
+//! assert!(results.into_values()[0] > gpreempt_types::SimTime::ZERO);
 //! ```
 
 mod plan;
@@ -58,9 +60,7 @@ mod sink;
 
 pub use plan::SweepPlan;
 pub use report::{SweepRecord, SweepReport};
-pub use runner::{
-    FoldedResults, ScenarioFold, ScenarioTap, SweepResults, SweepRunner, SweepTiming, TimingEntry,
-};
-pub use scenario::{FoldedScenario, Scenario, ScenarioResult};
+pub use runner::{FoldedResults, ScenarioFold, ScenarioTap, SweepRunner, SweepTiming, TimingEntry};
+pub use scenario::{FoldedScenario, Scenario};
 pub use shard::{Checkpoint, MergedValues, ShardManifest, ShardSession, ShardSpec, SweepExec};
 pub use sink::JsonlSink;

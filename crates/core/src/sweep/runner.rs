@@ -2,7 +2,7 @@
 
 use crate::report::TextTable;
 use crate::simulator::{SimWorkspace, SimulationRun, Simulator};
-use crate::sweep::{FoldedScenario, Scenario, ScenarioResult, SweepPlan};
+use crate::sweep::{FoldedScenario, Scenario, SweepPlan};
 use gpreempt_sim::thread_allocations;
 use gpreempt_trace::TraceInterner;
 use gpreempt_types::SimError;
@@ -100,73 +100,26 @@ impl SweepRunner {
         (len / (workers * 4)).clamp(1, 32)
     }
 
-    /// Runs every scenario of the plan, **keeping every simulation run**,
-    /// and returns the results in scenario-id order.
-    ///
-    /// This is the opt-in `keep_runs` mode: memory grows with the number of
-    /// scenarios (every [`SimulationRun`] body is retained), which the
-    /// regression tests rely on for exhaustive comparisons. Experiments
-    /// stream through [`run_fold`](Self::run_fold) instead, which keeps at
-    /// most one run per worker in memory.
-    ///
-    /// # Errors
-    ///
-    /// If any scenario fails, no further scenarios are started (in-flight
-    /// ones finish) and the error of the failing scenario with the
-    /// smallest id is returned — so the reported error does not depend on
-    /// the worker count either.
-    pub fn run(&self, plan: &SweepPlan) -> Result<SweepResults, SimError> {
-        let folded = self.run_fold(plan, &|_, run| Ok(run))?;
-        Ok(SweepResults {
-            results: folded
-                .outcomes
-                .into_iter()
-                .map(|o| ScenarioResult {
-                    scenario_id: o.scenario_id,
-                    run: o.value,
-                    wall: o.wall,
-                    events: o.events,
-                    allocs: o.allocs,
-                })
-                .collect(),
-            total_wall: folded.total_wall,
-            jobs: folded.jobs,
-        })
-    }
-
     /// Runs every scenario of the plan, folding each finished
     /// [`SimulationRun`] into `fold`'s output **on the worker that ran it**
-    /// and dropping the run body immediately. Outputs are reassembled in
-    /// scenario-id order, so — exactly like [`run`](Self::run) — the result
-    /// is bit-identical for every worker count.
+    /// and dropping the run body immediately, then hands the output to
+    /// `tap` on the same worker, in completion order. Outputs are
+    /// reassembled in scenario-id order, so the result is bit-identical for
+    /// every worker count.
     ///
     /// Memory stays flat: at any moment at most one `SimulationRun` per
     /// worker is alive, so a sweep over `N` scenarios holds `O(N)` folded
-    /// records instead of `O(N × completions)` run bodies.
+    /// records instead of `O(N × completions)` run bodies. The tap is a
+    /// side channel (typically a [`JsonlSink`](crate::sweep::JsonlSink)
+    /// spilling records to disk); a caller without one passes
+    /// `&|_, _| Ok(())`.
     ///
     /// # Errors
     ///
-    /// Fails like [`run`](Self::run): the error of the failing scenario
-    /// (simulation or fold) with the smallest id is returned, independent
-    /// of the worker count.
-    pub fn run_fold<T: Send>(
-        &self,
-        plan: &SweepPlan,
-        fold: &ScenarioFold<'_, T>,
-    ) -> Result<FoldedResults<T>, SimError> {
-        self.run_fold_tap(plan, fold, &|_, _| Ok(()))
-    }
-
-    /// [`run_fold`](Self::run_fold) with a per-scenario [`ScenarioTap`]
-    /// observing each fold output on its worker, in completion order.
-    /// Reassembled results are identical to `run_fold`'s — the tap only
-    /// adds a side channel (typically a
-    /// [`JsonlSink`](crate::sweep::JsonlSink) spilling records to disk).
-    ///
-    /// # Errors
-    ///
-    /// A failing tap aborts the sweep exactly like a failing fold: the
-    /// error of the failing scenario with the smallest id is returned.
+    /// If any scenario fails (simulation, fold or tap), no further
+    /// scenarios are started (in-flight ones finish) and the error of the
+    /// failing scenario with the smallest id is returned — so the reported
+    /// error does not depend on the worker count either.
     pub fn run_fold_tap<T: Send>(
         &self,
         plan: &SweepPlan,
@@ -175,21 +128,6 @@ impl SweepRunner {
     ) -> Result<FoldedResults<T>, SimError> {
         let ids: Vec<usize> = (0..plan.len()).collect();
         self.run_fold_tap_subset(plan, &ids, fold, tap)
-    }
-
-    /// [`run_fold`](Self::run_fold) restricted to an explicit scenario-id
-    /// subset (no tap).
-    ///
-    /// # Errors
-    ///
-    /// Fails like [`run_fold_tap_subset`](Self::run_fold_tap_subset).
-    pub fn run_fold_subset<T: Send>(
-        &self,
-        plan: &SweepPlan,
-        ids: &[usize],
-        fold: &ScenarioFold<'_, T>,
-    ) -> Result<FoldedResults<T>, SimError> {
-        self.run_fold_tap_subset(plan, ids, fold, &|_, _| Ok(()))
     }
 
     /// [`run_fold_tap`](Self::run_fold_tap) restricted to an explicit
@@ -426,63 +364,6 @@ impl Default for SweepRunner {
     }
 }
 
-/// The results of one executed plan, in scenario-id order.
-#[derive(Debug, Clone)]
-pub struct SweepResults {
-    results: Vec<ScenarioResult>,
-    total_wall: Duration,
-    jobs: usize,
-}
-
-impl SweepResults {
-    /// The per-scenario results, in scenario-id order.
-    pub fn results(&self) -> &[ScenarioResult] {
-        &self.results
-    }
-
-    /// The simulation run of the scenario with the given id.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the id is out of range (a caller bug: results always cover
-    /// the full plan).
-    pub fn run_of(&self, scenario_id: usize) -> &SimulationRun {
-        &self.results[scenario_id].run
-    }
-
-    /// Number of executed scenarios.
-    pub fn len(&self) -> usize {
-        self.results.len()
-    }
-
-    /// Whether the plan was empty.
-    pub fn is_empty(&self) -> bool {
-        self.results.is_empty()
-    }
-
-    /// Wall-clock time of the whole sweep.
-    pub fn total_wall(&self) -> Duration {
-        self.total_wall
-    }
-
-    /// Number of workers that executed the sweep.
-    pub fn jobs(&self) -> usize {
-        self.jobs
-    }
-
-    /// Per-scenario wall-clock timing, labelled from the plan.
-    pub fn timing(&self, plan: &SweepPlan) -> SweepTiming {
-        timing_of(
-            self.jobs,
-            self.total_wall,
-            plan,
-            self.results
-                .iter()
-                .map(|r| (r.scenario_id, r.wall, r.events, r.allocs)),
-        )
-    }
-}
-
 /// The outcomes of one streamed plan, in scenario-id order: the fold's
 /// per-scenario outputs plus timing — the run bodies were dropped on the
 /// workers.
@@ -497,18 +378,6 @@ impl<T> FoldedResults<T> {
     /// The per-scenario outcomes, in scenario-id order.
     pub fn outcomes(&self) -> &[FoldedScenario<T>] {
         &self.outcomes
-    }
-
-    /// The fold output of the scenario with the given id. For results of a
-    /// subset run ([`SweepRunner::run_fold_tap_subset`]) the index is the
-    /// *position within the subset*, not the plan-wide scenario id.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the index is out of range (a caller bug: outcomes always
-    /// cover the full plan — or the full subset).
-    pub fn value_of(&self, scenario_id: usize) -> &T {
-        &self.outcomes[scenario_id].value
     }
 
     /// Consumes the results, returning just the fold outputs in
@@ -544,44 +413,27 @@ impl<T> FoldedResults<T> {
 
     /// Per-scenario wall-clock timing, labelled from the plan.
     pub fn timing(&self, plan: &SweepPlan) -> SweepTiming {
-        timing_of(
-            self.jobs,
-            self.total_wall,
-            plan,
-            self.outcomes
-                .iter()
-                .map(|o| (o.scenario_id, o.wall, o.events, o.allocs)),
-        )
-    }
-}
-
-/// Builds the labelled timing summary shared by the keep-runs and streaming
-/// result types.
-fn timing_of(
-    jobs: usize,
-    total: Duration,
-    plan: &SweepPlan,
-    per_scenario: impl Iterator<Item = (usize, Duration, u64, u64)>,
-) -> SweepTiming {
-    let entries: Vec<TimingEntry> = per_scenario
-        .map(|(id, wall, events, allocs)| {
-            let s = &plan.scenarios()[id];
-            TimingEntry {
-                group: s.group.clone(),
-                workload: s.workload.name().to_string(),
-                label: s.label.clone(),
-                wall,
-                events,
-                allocs,
-            }
-        })
-        .collect();
-    let events = entries.iter().map(|e| e.events).sum();
-    SweepTiming {
-        jobs,
-        total,
-        events,
-        entries,
+        let entries: Vec<TimingEntry> = self
+            .outcomes
+            .iter()
+            .map(|o| {
+                let s = &plan.scenarios()[o.scenario_id];
+                TimingEntry {
+                    group: s.group.clone(),
+                    workload: s.workload.name().to_string(),
+                    label: s.label.clone(),
+                    wall: o.wall,
+                    events: o.events,
+                    allocs: o.allocs,
+                }
+            })
+            .collect();
+        SweepTiming {
+            jobs: self.jobs,
+            total: self.total_wall,
+            events: self.events_total(),
+            entries,
+        }
     }
 }
 
@@ -672,12 +524,6 @@ impl SweepTiming {
         )
     }
 
-    /// Total allocation events across every scenario (zero without a
-    /// counting allocator installed).
-    pub fn allocs_total(&self) -> u64 {
-        self.entries.iter().map(|e| e.allocs).sum()
-    }
-
     /// Renders the per-scenario wall-clock table, streaming rows straight
     /// from the timing entries.
     pub fn render(&self) -> TextTable {
@@ -711,7 +557,7 @@ mod tests {
     use crate::sweep::Scenario;
     use gpreempt_gpu::{MechanismSelection, PreemptionMechanism};
     use gpreempt_trace::{parboil, ProcessSpec, Workload};
-    use gpreempt_types::GpuConfig;
+    use gpreempt_types::{GpuConfig, SimTime};
 
     fn tiny_plan(n: usize) -> SweepPlan {
         let gpu = GpuConfig::default();
@@ -755,23 +601,35 @@ mod tests {
         plan
     }
 
-    fn fingerprint(results: &SweepResults) -> Vec<(usize, u64, gpreempt_types::SimTime)> {
+    /// What the tests compare runs by: `(events_processed, end_time)`.
+    type Fingerprint = (u64, SimTime);
+
+    fn fingerprint_of(_: &Scenario, run: SimulationRun) -> Result<Fingerprint, SimError> {
+        Ok((run.events_processed(), run.end_time()))
+    }
+
+    /// Runs the plan, folding each run to its [`Fingerprint`].
+    fn run(runner: SweepRunner, plan: &SweepPlan) -> Result<FoldedResults<Fingerprint>, SimError> {
+        runner.run_fold_tap(plan, &fingerprint_of, &|_, _| Ok(()))
+    }
+
+    fn fingerprints(results: &FoldedResults<Fingerprint>) -> Vec<(usize, Fingerprint)> {
         results
-            .results()
+            .outcomes()
             .iter()
-            .map(|r| (r.scenario_id, r.run.events_processed(), r.run.end_time()))
+            .map(|o| (o.scenario_id, o.value))
             .collect()
     }
 
     #[test]
     fn parallel_results_match_sequential() {
         let plan = tiny_plan(6);
-        let sequential = SweepRunner::sequential().run(&plan).unwrap();
+        let sequential = run(SweepRunner::sequential(), &plan).unwrap();
         for jobs in [2, 4, 8] {
-            let parallel = SweepRunner::new(jobs).run(&plan).unwrap();
+            let parallel = run(SweepRunner::new(jobs), &plan).unwrap();
             assert_eq!(
-                fingerprint(&sequential),
-                fingerprint(&parallel),
+                fingerprints(&sequential),
+                fingerprints(&parallel),
                 "jobs={jobs}"
             );
         }
@@ -784,9 +642,9 @@ mod tests {
     fn chunked_claiming_matches_sequential() {
         let plan = lean_plan(20);
         assert!(SweepRunner::chunk_size(plan.len(), 2) > 1);
-        let sequential = SweepRunner::sequential().run(&plan).unwrap();
-        let chunked = SweepRunner::new(2).run(&plan).unwrap();
-        assert_eq!(fingerprint(&sequential), fingerprint(&chunked));
+        let sequential = run(SweepRunner::sequential(), &plan).unwrap();
+        let chunked = run(SweepRunner::new(2), &plan).unwrap();
+        assert_eq!(fingerprints(&sequential), fingerprints(&chunked));
     }
 
     #[test]
@@ -808,8 +666,20 @@ mod tests {
     #[test]
     fn rebuild_results_match_reuse() {
         let plan = tiny_plan(4);
-        let reuse = SweepRunner::new(2).run(&plan).unwrap();
-        for (result, scenario) in reuse.results().iter().zip(plan.scenarios()) {
+        let reuse = SweepRunner::new(2)
+            .run_fold_tap(
+                &plan,
+                &|_, run| {
+                    Ok((
+                        run.events_processed(),
+                        run.end_time(),
+                        run.iterations().to_vec(),
+                    ))
+                },
+                &|_, _| Ok(()),
+            )
+            .unwrap();
+        for (outcome, scenario) in reuse.outcomes().iter().zip(plan.scenarios()) {
             let config = plan
                 .config()
                 .clone()
@@ -817,21 +687,22 @@ mod tests {
             let rebuild = Simulator::new(config)
                 .run(&scenario.workload, scenario.policy)
                 .unwrap();
+            let (events, end_time, iterations) = &outcome.value;
             assert_eq!(
-                (result.run.events_processed(), result.run.end_time()),
+                (*events, *end_time),
                 (rebuild.events_processed(), rebuild.end_time()),
                 "scenario {}",
                 scenario.id
             );
-            assert_eq!(result.run.iterations(), rebuild.iterations());
+            assert_eq!(iterations.as_slice(), rebuild.iterations());
         }
     }
 
     #[test]
     fn results_are_ordered_by_scenario_id() {
         let plan = tiny_plan(5);
-        let results = SweepRunner::new(3).run(&plan).unwrap();
-        let ids: Vec<usize> = results.results().iter().map(|r| r.scenario_id).collect();
+        let results = run(SweepRunner::new(3), &plan).unwrap();
+        let ids: Vec<usize> = results.outcomes().iter().map(|o| o.scenario_id).collect();
         assert_eq!(ids, vec![0, 1, 2, 3, 4]);
         assert_eq!(results.len(), 5);
         assert!(!results.is_empty());
@@ -840,7 +711,7 @@ mod tests {
     #[test]
     fn empty_plan_runs_to_empty_results() {
         let plan = SweepPlan::new(SimulatorConfig::default());
-        let results = SweepRunner::new(4).run(&plan).unwrap();
+        let results = run(SweepRunner::new(4), &plan).unwrap();
         assert!(results.is_empty());
         assert!(results.timing(&plan).entries.is_empty());
     }
@@ -887,7 +758,7 @@ mod tests {
             PolicyKind::Fcfs,
         ));
         for jobs in [1, 4] {
-            let err = SweepRunner::new(jobs).run(&plan).unwrap_err();
+            let err = run(SweepRunner::new(jobs), &plan).unwrap_err();
             assert!(
                 err.to_string().contains("no processes"),
                 "jobs={jobs}: {err}"
@@ -928,7 +799,7 @@ mod tests {
         }
         assert_eq!(SweepRunner::chunk_size(plan.len(), 2), 3);
         for jobs in [1, 2, 4] {
-            let err = SweepRunner::new(jobs).run(&plan).unwrap_err();
+            let err = run(SweepRunner::new(jobs), &plan).unwrap_err();
             assert!(err.to_string().contains("bad7"), "jobs={jobs}: {err}");
         }
     }
@@ -939,21 +810,18 @@ mod tests {
     #[test]
     fn subset_runs_match_the_full_run_scenario_for_scenario() {
         let plan = lean_plan(12);
-        let full = SweepRunner::sequential().run(&plan).unwrap();
+        let full = run(SweepRunner::sequential(), &plan).unwrap();
         let ids: Vec<usize> = (0..plan.len()).filter(|id| id % 3 == 1).collect();
         for jobs in [1, 2, 4] {
             let subset = SweepRunner::new(jobs)
-                .run_fold_subset(&plan, &ids, &|_, run| {
-                    Ok((run.events_processed(), run.end_time()))
-                })
+                .run_fold_tap_subset(&plan, &ids, &fingerprint_of, &|_, _| Ok(()))
                 .unwrap();
             assert_eq!(subset.len(), ids.len(), "jobs={jobs}");
             for (pos, outcome) in subset.outcomes().iter().enumerate() {
                 assert_eq!(outcome.scenario_id, ids[pos], "jobs={jobs}");
-                let reference = &full.results()[ids[pos]];
                 assert_eq!(
                     outcome.value,
-                    (reference.run.events_processed(), reference.run.end_time()),
+                    full.outcomes()[ids[pos]].value,
                     "jobs={jobs} id={}",
                     ids[pos]
                 );
@@ -968,7 +836,7 @@ mod tests {
     fn subset_with_out_of_range_id_is_an_error() {
         let plan = lean_plan(3);
         let err = SweepRunner::sequential()
-            .run_fold_subset(&plan, &[1, 7], &|_, run| Ok(run.events_processed()))
+            .run_fold_tap_subset(&plan, &[1, 7], &fingerprint_of, &|_, _| Ok(()))
             .unwrap_err();
         assert!(err.to_string().contains("scenario id 7"), "{err}");
     }
@@ -977,7 +845,7 @@ mod tests {
     fn empty_subset_runs_to_empty_results() {
         let plan = lean_plan(3);
         let results = SweepRunner::new(4)
-            .run_fold_subset(&plan, &[], &|_, run| Ok(run.events_processed()))
+            .run_fold_tap_subset(&plan, &[], &fingerprint_of, &|_, _| Ok(()))
             .unwrap();
         assert!(results.is_empty());
     }
@@ -990,12 +858,16 @@ mod tests {
         let plan = lean_plan(12);
         for jobs in [1, 2] {
             let err = SweepRunner::new(jobs)
-                .run_fold(&plan, &|scenario, run| {
-                    if scenario.id == 5 {
-                        panic!("fold failed on {}", scenario.label);
-                    }
-                    Ok(run.events_processed())
-                })
+                .run_fold_tap(
+                    &plan,
+                    &|scenario, run| {
+                        if scenario.id == 5 {
+                            panic!("fold failed on {}", scenario.label);
+                        }
+                        Ok(run.events_processed())
+                    },
+                    &|_, _| Ok(()),
+                )
                 .unwrap_err();
             let seed = plan.config().seed;
             assert_eq!(
@@ -1019,15 +891,15 @@ mod tests {
         let pinned = runner.with_affinity(true);
         assert!(pinned.affinity());
         assert_eq!(
-            fingerprint(&runner.run(&plan).unwrap()),
-            fingerprint(&pinned.run(&plan).unwrap())
+            fingerprints(&run(runner, &plan).unwrap()),
+            fingerprints(&run(pinned, &plan).unwrap())
         );
     }
 
     #[test]
     fn timing_is_labelled_and_summarised() {
         let plan = tiny_plan(3);
-        let results = SweepRunner::new(2).run(&plan).unwrap();
+        let results = run(SweepRunner::new(2), &plan).unwrap();
         let timing = results.timing(&plan);
         assert_eq!(timing.entries.len(), 3);
         assert_eq!(timing.entries[0].label, "s0");

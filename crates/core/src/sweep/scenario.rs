@@ -1,7 +1,6 @@
 //! One enumerated simulation unit of a sweep.
 
 use crate::config::PolicyKind;
-use crate::simulator::SimulationRun;
 use gpreempt_gpu::MechanismSelection;
 use gpreempt_trace::Workload;
 use gpreempt_types::SimTime;
@@ -93,27 +92,10 @@ impl Scenario {
     }
 }
 
-/// The outcome of one scenario: the finished simulation plus how long it
-/// took in wall-clock time.
-#[derive(Debug, Clone)]
-pub struct ScenarioResult {
-    /// The scenario's id in the plan.
-    pub scenario_id: usize,
-    /// The simulation result.
-    pub run: SimulationRun,
-    /// Wall-clock time spent simulating this scenario.
-    pub wall: Duration,
-    /// Simulation events the scenario processed (drives the sweep's
-    /// events/sec throughput accounting).
-    pub events: u64,
-    /// Allocation events charged to this scenario on its worker thread
-    /// (zero unless the process installed a counting allocator).
-    pub allocs: u64,
-}
-
 /// The outcome of one scenario under a streaming fold: whatever the fold
-/// extracted from the finished [`SimulationRun`] (which was dropped on the
-/// worker), plus the scenario's wall clock and event count.
+/// extracted from the finished [`SimulationRun`](crate::SimulationRun)
+/// (which was dropped on the worker), plus the scenario's wall clock and
+/// event count.
 #[derive(Debug, Clone)]
 pub struct FoldedScenario<T> {
     /// The scenario's id in the plan.

@@ -1,12 +1,13 @@
 //! Disk-spill record streaming: a JSONL sink sweep records are appended to
 //! as scenarios complete.
 //!
-//! `SweepRunner::run_fold` keeps one folded record per scenario in memory —
-//! fine for thousands of scenarios, not for millions. A [`JsonlSink`] spills
-//! each record to an append-only [JSON Lines](https://jsonlines.org) file
-//! the moment its scenario finishes on a worker, so the on-disk file is
-//! complete even if the process dies mid-sweep, and downstream tooling can
-//! tail it while the sweep is still running.
+//! `SweepRunner::run_fold_tap` keeps one folded record per scenario in
+//! memory — fine for thousands of scenarios, not for millions. A
+//! [`JsonlSink`] spills each record to an append-only
+//! [JSON Lines](https://jsonlines.org) file the moment its scenario
+//! finishes on a worker, so the on-disk file is complete even if the
+//! process dies mid-sweep, and downstream tooling can tail it while the
+//! sweep is still running.
 //!
 //! Records are written in **completion order**, which under a parallel
 //! runner is not scenario-id order: each line carries its scenario's

@@ -51,7 +51,7 @@ fn plan(scenarios: usize, min_completions: u32) -> SweepPlan {
 /// worker reuses one workspace for the whole stream.
 fn allocs_per_scenario(plan: &SweepPlan) -> Vec<u64> {
     SweepRunner::sequential()
-        .run_fold(plan, &|_, run| Ok(run.events_processed()))
+        .run_fold_tap(plan, &|_, run| Ok(run.events_processed()), &|_, _| Ok(()))
         .unwrap()
         .outcomes()
         .iter()

@@ -116,7 +116,7 @@ fn fingerprint(scenario: &Scenario, run: &SimulationRun) -> SweepRecord {
 fn current_json() -> String {
     let plan = closed_loop_plan();
     let folded = SweepRunner::new(2)
-        .run_fold(&plan, &|s, run| Ok(fingerprint(s, &run)))
+        .run_fold_tap(&plan, &|s, run| Ok(fingerprint(s, &run)), &|_, _| Ok(()))
         .expect("closed-loop sweep runs");
     let mut report = SweepReport::new(plan.seed());
     for record in folded.into_values() {

@@ -99,7 +99,7 @@ fn fingerprint(scenario: &Scenario, run: &SimulationRun) -> SweepRecord {
 fn current_json() -> String {
     let plan = legacy_plan();
     let folded = SweepRunner::new(2)
-        .run_fold(&plan, &|s, run| Ok(fingerprint(s, &run)))
+        .run_fold_tap(&plan, &|s, run| Ok(fingerprint(s, &run)), &|_, _| Ok(()))
         .expect("golden sweep runs");
     let mut report = SweepReport::new(plan.seed());
     for record in folded.into_values() {

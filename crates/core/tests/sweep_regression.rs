@@ -199,7 +199,7 @@ fn harness_reports_cover_every_record_and_validate() {
     assert!(gpreempt::SweepReport::validate_json(&fig2.report().to_json()).is_ok());
 }
 
-/// The fold every streaming-vs-keep-runs comparison below uses: identity of
+/// The fold the streaming-vs-reference comparison below uses: identity of
 /// the run compressed into a [`SweepRecord`].
 fn record_of(scenario: &Scenario, run: &gpreempt::SimulationRun) -> SweepRecord {
     SweepRecord::new(
@@ -243,34 +243,36 @@ fn streaming_plan() -> SweepPlan {
     plan
 }
 
-/// The streaming fold path (`run_fold`, at most one run per worker in
-/// memory) must serialise to exactly the bytes of the keep-runs path
-/// (`run`, every run retained and folded afterwards) — at jobs 1, 2 and 8.
+/// The streaming fold path (`run_fold_tap`, at most one run per worker in
+/// memory, each worker reusing one workspace) must serialise to exactly the
+/// bytes of a reference that bypasses the runner: every scenario simulated
+/// by `Simulator::run` on a fresh workspace and folded here — at jobs 1, 2
+/// and 8.
 #[test]
-fn folded_reports_are_byte_identical_to_keep_runs_reports() {
+fn folded_reports_are_byte_identical_to_fresh_simulator_reports() {
     let plan = streaming_plan();
 
-    // keep_runs reference (sequential, runs retained, folded post-hoc).
-    let keep = SweepRunner::sequential().run(&plan).unwrap();
-    let mut keep_report = SweepReport::new(plan.seed());
-    for result in keep.results() {
-        keep_report.push(record_of(
-            &plan.scenarios()[result.scenario_id],
-            &result.run,
-        ));
+    // Reference: no runner, a fresh workspace per scenario, folded here.
+    let sim = Simulator::new(plan.config().clone());
+    let mut reference_events = 0;
+    let mut reference = SweepReport::new(plan.seed());
+    for scenario in plan.scenarios() {
+        let run = sim.run(&scenario.workload, scenario.policy).unwrap();
+        reference_events += run.events_processed();
+        reference.push(record_of(scenario, &run));
     }
-    let expected = keep_report.to_json();
+    let expected = reference.to_json();
 
     for jobs in [1usize, 2, 8] {
         let folded = SweepRunner::new(jobs)
-            .run_fold(&plan, &|scenario, run| Ok(record_of(scenario, &run)))
+            .run_fold_tap(
+                &plan,
+                &|scenario, run| Ok(record_of(scenario, &run)),
+                &|_, _| Ok(()),
+            )
             .unwrap();
         // Event accounting survives the fold.
-        assert_eq!(
-            folded.events_total(),
-            keep.results().iter().map(|r| r.events).sum::<u64>(),
-            "jobs={jobs}"
-        );
+        assert_eq!(folded.events_total(), reference_events, "jobs={jobs}");
         let mut report = SweepReport::new(plan.seed());
         for record in folded.into_values() {
             report.push(record);

@@ -178,8 +178,11 @@ mod tests {
         );
         let est = spec.isolated_time_on(&gpu(), 13).as_micros_f64();
         assert!((est - 2_905.81).abs() < 2.0, "estimated {est}");
-        // The per-block latency is 13x the Table 1 "Time/TB" column
-        // (see DESIGN.md on the occupancy-consistent derivation).
+        // The per-block latency is 13x the Table 1 "Time/TB" column. That
+        // column divides the measured time by the 1200 waves of 15 resident
+        // blocks one SM alone would run (2905.81us x 15 / 18000); the 13
+        // SMs run those waves 13 at a time, so each wave, and so each
+        // block, lasts 13x as long.
         let tb = spec.mean_block_time().as_micros_f64();
         assert!((tb - 2.42 * 13.0).abs() < 0.5, "block time {tb}");
     }

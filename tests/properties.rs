@@ -417,13 +417,14 @@ proptest! {
     // keep the case count low; the seeds still vary run to run.
     #![proptest_config(ProptestConfig::with_cases(4))]
 
-    /// The streaming fold path must serialise to exactly the bytes of the
-    /// opt-in keep-runs path, at every worker count: folding a run on the
-    /// worker (and dropping its body) loses no information a report needs.
+    /// The streaming fold path must serialise to exactly the bytes of a
+    /// reference that bypasses the runner, at every worker count: folding
+    /// a run on the worker (and dropping its body) loses no information a
+    /// report needs, and workspace reuse changes nothing.
     #[test]
-    fn streamed_fold_reports_match_keep_runs_reports_byte_for_byte(seed in 1u64..100_000) {
+    fn streamed_fold_reports_match_fresh_simulator_reports_byte_for_byte(seed in 1u64..100_000) {
         use gpreempt::sweep::{Scenario, SweepPlan, SweepRecord, SweepReport, SweepRunner};
-        use gpreempt::{PolicyKind, SimulationRun, SimulatorConfig};
+        use gpreempt::{PolicyKind, SimulationRun, Simulator, SimulatorConfig};
         use gpreempt_trace::{parboil, ProcessSpec, Workload};
 
         let gpu = GpuConfig::default();
@@ -444,17 +445,18 @@ proptest! {
                 .with_value("end_time_us", run.end_time().as_micros_f64())
         };
 
-        // keep_runs reference: every run retained, folded afterwards.
-        let keep = SweepRunner::sequential().run(&plan).unwrap();
+        // Reference: no runner, a fresh workspace per scenario, folded here.
+        let sim = Simulator::new(plan.config().clone());
         let mut expected = SweepReport::new(plan.seed());
-        for r in keep.results() {
-            expected.push(fold(&plan.scenarios()[r.scenario_id], &r.run));
+        for scenario in plan.scenarios() {
+            let run = sim.run(&scenario.workload, scenario.policy).unwrap();
+            expected.push(fold(scenario, &run));
         }
         let expected = expected.to_json();
 
         for jobs in [1usize, 2, 8] {
             let folded = SweepRunner::new(jobs)
-                .run_fold(&plan, &|s, run| Ok(fold(s, &run)))
+                .run_fold_tap(&plan, &|s, run| Ok(fold(s, &run)), &|_, _| Ok(()))
                 .unwrap();
             let mut report = SweepReport::new(plan.seed());
             for record in folded.into_values() {
