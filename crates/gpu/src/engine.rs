@@ -15,9 +15,7 @@
 //! one engine allocation can service an entire scenario stream.
 
 use crate::estimator::{PreemptionEstimate, RemainingTimeEstimator};
-use crate::framework::{
-    KernelState, KsrIndex, PreemptedBlock, ResidentBlock, SmCold, SmHot, SmState, SmStatus,
-};
+use crate::framework::{KernelState, KsrIndex, PreemptedBlock, SmCold, SmHot, SmState, SmStatus};
 use crate::launch::{KernelCompletion, KernelLaunch};
 use crate::preempt::{ContextSwitchCost, MechanismSelection, PreemptionMechanism};
 use gpreempt_sim::SimRng;
@@ -75,6 +73,9 @@ pub enum EngineEvent {
         sm: SmId,
         /// Epoch guard.
         epoch: u64,
+        /// The residency slot the block held on `sm`, which locates it
+        /// among the SM's resident blocks without a scan.
+        slot: u32,
         /// The block that finished.
         block: ThreadBlockId,
     },
@@ -261,13 +262,14 @@ impl ExecutionEngine {
         rng: SimRng,
     ) -> Self {
         let n = gpu.n_sms as usize;
+        let max_blocks = gpu.max_blocks_per_sm;
         ExecutionEngine {
             gpu,
             preemption_cfg,
             params,
             rng,
             sm_hot: vec![SmHot::new(); n],
-            sm_cold: (0..n).map(|_| SmCold::new()).collect(),
+            sm_cold: (0..n).map(|_| SmCold::new(max_blocks)).collect(),
             ksrt: (0..n).map(|_| KsrSlot::new()).collect(),
             estimator: RemainingTimeEstimator::new(n),
             waiting_admission: VecDeque::new(),
@@ -279,11 +281,11 @@ impl ExecutionEngine {
     }
 
     /// Rewinds the engine to the state [`new`](Self::new) would produce for
-    /// these arguments, but keeps every allocation: the SMST arrays, the
-    /// KSRT slab (including pooled PTBQ storage), the estimator slots and
-    /// the drain buffers all retain their capacity. Pairs with
-    /// `EventQueue::reset` so one engine services a whole scenario stream
-    /// with no per-scenario churn. Slot generations restart at zero, so a
+    /// these arguments, but keeps every allocation: the SMST arrays and
+    /// their residency-slot tables, the KSRT slab (including pooled PTBQ
+    /// storage), the estimator slots and the drain buffers all retain their
+    /// capacity. Pairs with `EventQueue::reset` so one engine services a
+    /// whole scenario stream with no per-scenario churn. Slot generations restart at zero, so a
     /// reused engine is observationally identical to a fresh one.
     pub fn reset(
         &mut self,
@@ -293,6 +295,7 @@ impl ExecutionEngine {
         rng: SimRng,
     ) {
         let n = gpu.n_sms as usize;
+        let max_blocks = gpu.max_blocks_per_sm;
         self.gpu = gpu;
         self.preemption_cfg = preemption_cfg;
         self.params = params;
@@ -303,10 +306,10 @@ impl ExecutionEngine {
             self.sm_cold.truncate(n);
         }
         for cold in &mut self.sm_cold {
-            cold.reset();
+            cold.reset(max_blocks);
         }
         while self.sm_cold.len() < n {
-            self.sm_cold.push(SmCold::new());
+            self.sm_cold.push(SmCold::new(max_blocks));
         }
         if self.ksrt.len() > n {
             self.ksrt.truncate(n);
@@ -428,24 +431,36 @@ impl ExecutionEngine {
     /// must deliver each back via [`handle`](Self::handle) at the given
     /// absolute time.
     ///
-    /// Appends to (rather than replaces) `out` and keeps the internal
-    /// buffer's capacity, so a caller that reuses one scratch vector pays no
+    /// Appends to (rather than replaces) `out`. When `out` is empty the two
+    /// buffers are swapped instead of copied; either way both keep their
+    /// capacity, so a caller that reuses one scratch vector pays no
     /// allocation in steady state — this is the simulator's per-event hot
     /// path.
     pub fn drain_scheduled_into(&mut self, out: &mut Vec<(SimTime, EngineEvent)>) {
-        out.append(&mut self.scheduled);
+        if self.scheduled.is_empty() {
+            return;
+        }
+        if out.is_empty() {
+            std::mem::swap(out, &mut self.scheduled);
+        } else {
+            out.append(&mut self.scheduled);
+        }
     }
 
     /// Moves the kernel completions produced since the last drain into
     /// `out`. Appends; both buffers keep their capacity.
     pub fn drain_completions_into(&mut self, out: &mut Vec<KernelCompletion>) {
-        out.append(&mut self.completions);
+        if !self.completions.is_empty() {
+            out.append(&mut self.completions);
+        }
     }
 
     /// Moves the policy hooks raised since the last drain into `out`.
     /// Appends; both buffers keep their capacity.
     pub fn drain_hooks_into(&mut self, out: &mut Vec<PolicyHook>) {
-        out.append(&mut self.hooks);
+        if !self.hooks.is_empty() {
+            out.append(&mut self.hooks);
+        }
     }
 
     // ------------------------------------------------------------------
@@ -726,9 +741,12 @@ impl ExecutionEngine {
     pub fn handle(&mut self, now: SimTime, event: EngineEvent) {
         match event {
             EngineEvent::SetupDone { sm, epoch } => self.on_setup_done(now, sm, epoch),
-            EngineEvent::BlockDone { sm, epoch, block } => {
-                self.on_block_done(now, sm, epoch, block)
-            }
+            EngineEvent::BlockDone {
+                sm,
+                epoch,
+                slot,
+                block,
+            } => self.on_block_done(now, sm, epoch, slot, block),
             EngineEvent::SaveDone { sm, epoch } => self.on_save_done(now, sm, epoch),
             EngineEvent::QuantumTick { sm, epoch } => self.on_quantum_tick(now, sm, epoch),
             EngineEvent::DeadlineTick { ksr, launch } => self.on_deadline_tick(ksr, launch),
@@ -779,15 +797,21 @@ impl ExecutionEngine {
         self.issue_blocks(now, sm);
     }
 
-    fn on_block_done(&mut self, now: SimTime, sm: SmId, epoch: u64, block: ThreadBlockId) {
+    fn on_block_done(
+        &mut self,
+        now: SimTime,
+        sm: SmId,
+        epoch: u64,
+        slot: u32,
+        block: ThreadBlockId,
+    ) {
         let cold = &mut self.sm_cold[sm.index()];
+        // A preemption that moved the SM's blocks away bumped the epoch, so
+        // a current-epoch completion always finds its block in its slot.
         if cold.epoch != epoch {
             return;
         }
-        let Some(pos) = cold.resident.iter().position(|b| b.block == block) else {
-            return;
-        };
-        let finished = cold.resident.swap_remove(pos);
+        let finished = cold.retire(slot, block);
         let Some(ksr) = self.sm_hot[sm.index()].current else {
             return;
         };
@@ -888,13 +912,16 @@ impl ExecutionEngine {
                     Some(remaining) => remaining + restore,
                     None => rng.jittered(mean_block_time, params.block_time_jitter),
                 };
-                cold.resident.push(ResidentBlock {
-                    block,
-                    issued_at: now,
-                    duration,
-                    restored,
-                });
-                scheduled.push((now + duration, EngineEvent::BlockDone { sm, epoch, block }));
+                let slot = cold.make_resident(block, now, duration, restored);
+                scheduled.push((
+                    now + duration,
+                    EngineEvent::BlockDone {
+                        sm,
+                        epoch,
+                        slot,
+                        block,
+                    },
+                ));
             }
         }
         if filled {
@@ -1139,6 +1166,16 @@ impl ExecutionEngine {
             if hot.is_idle() && hot.current.is_some() {
                 return Err(format!("SM{i} is idle but owns a kernel"));
             }
+            if let Some(k) = hot.current.and_then(|ksr| self.kernel(ksr)) {
+                if cold.resident.len() > k.blocks_per_sm() as usize {
+                    return Err(format!(
+                        "SM{i} holds {} resident blocks, more than its kernel's {} per SM",
+                        cold.resident.len(),
+                        k.blocks_per_sm()
+                    ));
+                }
+            }
+            self.check_slot_table(i)?;
             // Per-preemption mechanism bookkeeping: exactly the reserved SMs
             // carry an in-flight mechanism and a preemption start time.
             if hot.state == SmState::Reserved
@@ -1164,6 +1201,44 @@ impl ExecutionEngine {
                         assigned
                     ));
                 }
+            }
+        }
+        Ok(())
+    }
+
+    /// Checks SM `i`'s residency-slot table: it lists each of the
+    /// `max_blocks_per_sm` slots exactly once, each resident block's slot
+    /// maps back to its index, and so the free stack past the resident
+    /// blocks holds no live slot.
+    fn check_slot_table(&self, i: usize) -> Result<(), String> {
+        let cold = &self.sm_cold[i];
+        let n_slots = self.gpu.max_blocks_per_sm as usize;
+        if cold.slots.len() != 2 * n_slots {
+            return Err(format!(
+                "SM{i} has a slot table of {} entries for {n_slots} slots",
+                cold.slots.len()
+            ));
+        }
+        if cold.resident.len() > n_slots {
+            return Err(format!(
+                "SM{i} holds {} resident blocks in {n_slots} slots",
+                cold.resident.len()
+            ));
+        }
+        let mut listed = vec![false; n_slots];
+        for index in 0..n_slots {
+            let slot = cold.slot_at(index);
+            if slot as usize >= n_slots || listed[slot as usize] {
+                return Err(format!(
+                    "SM{i}: slot {slot} at index {index} is out of range or listed twice"
+                ));
+            }
+            listed[slot as usize] = true;
+            if cold.index_of(slot) != index {
+                return Err(format!(
+                    "SM{i}: slot {slot} maps to index {}, but sits at {index}",
+                    cold.index_of(slot)
+                ));
             }
         }
         Ok(())

@@ -320,10 +320,24 @@ impl SmHot {
 
 /// The cold column of the SM Status Table: per-SM bookkeeping only touched
 /// when the SM itself acts (block issue/completion, preemption mechanics).
+///
+/// Each resident block holds one of the SM's `max_blocks_per_sm` residency
+/// slots, and its `BlockDone` event carries the slot back, so a completion
+/// finds its block without a scan.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct SmCold {
     pub(crate) mechanism: Option<PreemptionMechanism>,
+    /// Resident blocks, in the order `push` and `swap_remove` leave them.
+    /// A context-switch save moves them to the PTBQ in this order, and
+    /// that order reaches the results.
     pub(crate) resident: Vec<ResidentBlock>,
+    /// The residency-slot table: a sparse set over the slots, in one
+    /// allocation sized in `new` and `reset`. Its first half lists the
+    /// slots by index: index `i` holds the slot of `resident[i]`, and the
+    /// indices from `resident.len()` on form the free-slot stack, top
+    /// first. Its second half maps each slot back to its index. Emptying
+    /// `resident` therefore frees every slot.
+    pub(crate) slots: Vec<u32>,
     pub(crate) epoch: u64,
     pub(crate) setting_up: bool,
     pub(crate) saving: bool,
@@ -335,28 +349,104 @@ pub(crate) struct SmCold {
 }
 
 impl SmCold {
-    pub(crate) fn new() -> Self {
-        SmCold {
+    /// A fresh SM with `max_blocks` residency slots.
+    pub(crate) fn new(max_blocks: u32) -> Self {
+        let mut cold = SmCold {
             mechanism: None,
             resident: Vec::new(),
+            slots: Vec::new(),
             epoch: 0,
             setting_up: false,
             saving: false,
             preempted_at: None,
             estimated_latency: None,
-        }
+        };
+        cold.reset(max_blocks);
+        cold
     }
 
-    /// Rewinds to the freshly-constructed state, keeping the resident-block
-    /// storage so a reused engine allocates nothing per scenario.
-    pub(crate) fn reset(&mut self) {
+    /// Rewinds to the freshly-constructed state with `max_blocks`
+    /// residency slots, keeping the resident-block and slot storage so a
+    /// reused engine allocates nothing per scenario. Both are sized for
+    /// `max_blocks` blocks up front.
+    pub(crate) fn reset(&mut self, max_blocks: u32) {
         self.mechanism = None;
         self.resident.clear();
+        self.resident.reserve(max_blocks as usize);
+        self.slots.clear();
+        self.slots.extend((0..max_blocks).chain(0..max_blocks));
         self.epoch = 0;
         self.setting_up = false;
         self.saving = false;
         self.preempted_at = None;
         self.estimated_latency = None;
+    }
+
+    /// Number of residency slots.
+    pub(crate) fn n_slots(&self) -> usize {
+        self.slots.len() / 2
+    }
+
+    /// The slot at `index` of the table's first half: the slot of
+    /// `resident[index]`, or a free slot past the resident blocks.
+    pub(crate) fn slot_at(&self, index: usize) -> u32 {
+        self.slots[..self.n_slots()][index]
+    }
+
+    /// The index of `slot` in the table's first half.
+    pub(crate) fn index_of(&self, slot: u32) -> usize {
+        self.slots[self.n_slots() + slot as usize] as usize
+    }
+
+    /// Puts `slot` at `index` of the first half and records that index in
+    /// the second.
+    fn place(&mut self, index: usize, slot: u32) {
+        let n = self.n_slots();
+        self.slots[index] = slot;
+        self.slots[n + slot as usize] = index as u32;
+    }
+
+    /// Makes `block` resident in the slot on top of the free stack and
+    /// returns that slot.
+    ///
+    /// # Panics
+    ///
+    /// Panics if every slot is taken: the engine never issues more blocks
+    /// than a kernel's `blocks_per_sm`, which the GPU's `max_blocks_per_sm`
+    /// bounds.
+    pub(crate) fn make_resident(
+        &mut self,
+        block: ThreadBlockId,
+        issued_at: SimTime,
+        duration: SimTime,
+        restored: bool,
+    ) -> u32 {
+        let slot = self.slot_at(self.resident.len());
+        self.resident.push(ResidentBlock {
+            block,
+            issued_at,
+            duration,
+            restored,
+        });
+        slot
+    }
+
+    /// Removes the block in `slot` from `resident` with the `swap_remove`
+    /// the resident order depends on, and pushes the slot on the free
+    /// stack.
+    pub(crate) fn retire(&mut self, slot: u32, block: ThreadBlockId) -> ResidentBlock {
+        let index = self.index_of(slot);
+        debug_assert!(
+            self.resident.get(index).is_some_and(|rb| rb.block == block),
+            "residency slot {slot} does not hold completing block {block}"
+        );
+        let finished = self.resident.swap_remove(index);
+        // Mirror the `swap_remove`: the last block's slot moves to `index`,
+        // and the freed slot becomes the top of the free stack.
+        let last = self.resident.len();
+        self.place(index, self.slot_at(last));
+        self.place(last, slot);
+        finished
     }
 }
 
@@ -524,7 +614,7 @@ mod tests {
     #[test]
     fn sm_status_defaults() {
         let hot = SmHot::new();
-        let cold = SmCold::new();
+        let cold = SmCold::new(16);
         let sm = SmStatus {
             hot: &hot,
             cold: &cold,
@@ -539,6 +629,47 @@ mod tests {
         assert_eq!(sm.state(), SmState::Idle);
         assert_eq!(sm.preempting_with(), None);
         assert_eq!(sm.preempted_at(), None);
+    }
+
+    /// Retiring by slot removes exactly what a `position` scan plus
+    /// `swap_remove` would, so the resident order is unchanged; the freed
+    /// slot is the next one handed out, and emptying `resident` frees all.
+    #[test]
+    fn retiring_by_slot_keeps_the_swap_remove_order() {
+        let mut cold = SmCold::new(4);
+        let mut reference = Vec::new();
+        let mut slot_of = std::collections::HashMap::new();
+        let us = SimTime::from_micros;
+        for b in 0..4 {
+            let block = ThreadBlockId::new(b);
+            slot_of.insert(
+                block,
+                cold.make_resident(block, us(b as u64), us(10), false),
+            );
+            reference.push(block);
+        }
+        for (victim, fresh) in [(1, 4), (0, 5), (5, 6), (3, 7)] {
+            let victim = ThreadBlockId::new(victim);
+            let slot = slot_of[&victim];
+            assert_eq!(cold.retire(slot, victim).block, victim);
+            let index = reference.iter().position(|&b| b == victim).unwrap();
+            reference.swap_remove(index);
+            let order: Vec<_> = cold.resident.iter().map(|rb| rb.block).collect();
+            assert_eq!(order, reference);
+            let fresh = ThreadBlockId::new(fresh);
+            let reused = cold.make_resident(fresh, us(9), us(10), true);
+            assert_eq!(reused, slot, "the freed slot is reused");
+            slot_of.insert(fresh, reused);
+            reference.push(fresh);
+        }
+        for (index, rb) in cold.resident.iter().enumerate() {
+            assert_eq!(cold.slot_at(index), slot_of[&rb.block]);
+            assert_eq!(cold.index_of(slot_of[&rb.block]), index);
+        }
+        cold.resident.clear();
+        let mut free: Vec<u32> = (0..4).map(|i| cold.slot_at(i)).collect();
+        free.sort_unstable();
+        assert_eq!(free, [0, 1, 2, 3]);
     }
 
     #[test]

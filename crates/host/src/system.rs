@@ -219,21 +219,28 @@ impl HostSystem {
     /// Moves the events the host wants scheduled into `out` (drained by the
     /// simulator). Appends to `out` and keeps the internal buffer's
     /// capacity, so a reused scratch vector makes this allocation-free in
-    /// steady state.
+    /// steady state. Like every `drain_*_into`, it returns at once when it
+    /// has nothing to move.
     pub fn drain_scheduled_into(&mut self, out: &mut Vec<(SimTime, HostEvent)>) {
-        out.append(&mut self.scheduled);
+        if !self.scheduled.is_empty() {
+            out.append(&mut self.scheduled);
+        }
     }
 
     /// Moves the kernel launches the host wants forwarded to the execution
     /// engine into `out`. Appends; both buffers keep their capacity.
     pub fn drain_launches_into(&mut self, out: &mut Vec<LaunchRequest>) {
-        out.append(&mut self.launches);
+        if !self.launches.is_empty() {
+            out.append(&mut self.launches);
+        }
     }
 
     /// Moves the process executions completed since the last drain into
     /// `out`. Appends; both buffers keep their capacity.
     pub fn drain_iterations_into(&mut self, out: &mut Vec<IterationRecord>) {
-        out.append(&mut self.iterations);
+        if !self.iterations.is_empty() {
+            out.append(&mut self.iterations);
+        }
     }
 
     /// Moves the open-arrival releases awaiting an admission decision into
@@ -241,7 +248,9 @@ impl HostSystem {
     /// [`resolve_release`](Self::resolve_release). Appends; both buffers
     /// keep their capacity.
     pub fn drain_release_requests_into(&mut self, out: &mut Vec<ReleaseRequest>) {
-        out.append(&mut self.release_requests);
+        if !self.release_requests.is_empty() {
+            out.append(&mut self.release_requests);
+        }
     }
 
     /// Whether any output (events to schedule, launches, iteration records,

@@ -1,51 +1,31 @@
 //! The event queue at the heart of the discrete-event simulator: a binary
-//! heap over a packed `(time, insertion-seq)` key, so events sharing a
+//! heap of packed 16-byte keys over a payload slab, so events sharing a
 //! timestamp are delivered in the order they were scheduled.
 
 use gpreempt_types::SimTime;
-use std::cmp::Ordering;
+use std::cmp::Reverse;
 use std::collections::binary_heap::PeekMut;
 use std::collections::BinaryHeap;
 use std::fmt;
 
-/// One scheduled entry: ordering key and payload. The key packs the
-/// timestamp (high 64 bits) over the insertion sequence number (low 64
-/// bits), so ordering comparisons are a single `u128` compare while
-/// preserving exactly the (time, insertion-order) delivery discipline.
-struct Entry<E> {
-    key: u128,
-    event: E,
+/// Bits of a key holding the payload's slab slot (its lowest bits).
+const SLOT_BITS: u32 = 24;
+/// Bits of a key holding the insertion sequence number, between the
+/// timestamp (high 64 bits) and the slot.
+const SEQ_BITS: u32 = 64 - SLOT_BITS;
+/// Schedules a queue accepts between resets: 2^40.
+const MAX_SCHEDULES: u64 = 1 << SEQ_BITS;
+/// Events a queue holds pending at once: 2^24.
+const MAX_PENDING: usize = 1 << SLOT_BITS;
+
+/// The timestamp, in nanoseconds, of a packed key.
+fn key_nanos(key: u128) -> u64 {
+    (key >> 64) as u64
 }
 
-impl<E> Entry<E> {
-    fn time_nanos(&self) -> u64 {
-        (self.key >> 64) as u64
-    }
-
-    fn time(&self) -> SimTime {
-        SimTime::from_nanos(self.time_nanos())
-    }
-}
-
-impl<E> PartialEq for Entry<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.key == other.key
-    }
-}
-impl<E> Eq for Entry<E> {}
-
-impl<E> PartialOrd for Entry<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl<E> Ord for Entry<E> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; invert so the earliest time (and, for
-        // ties, the earliest insertion) is popped first.
-        other.key.cmp(&self.key)
-    }
+/// The slab slot of a packed key.
+fn key_slot(key: u128) -> usize {
+    (key as usize) & (MAX_PENDING - 1)
 }
 
 /// A deterministic time-ordered event queue.
@@ -53,6 +33,23 @@ impl<E> Ord for Entry<E> {
 /// Events scheduled for the same timestamp are delivered in insertion order,
 /// which keeps whole-simulation results reproducible regardless of how the
 /// components interleave their scheduling calls.
+///
+/// The heap holds one packed `u128` key per pending event: the timestamp in
+/// the high 64 bits, then a 40-bit insertion sequence number, then the
+/// 24-bit slot of the payload in a slab. Sequence numbers are unique, so
+/// keys order exactly by `(time, insertion order)`; the payloads stay put
+/// in the slab while only the 16-byte keys move through the heap. Freed
+/// slots are reused, so the slab grows only to the peak number of pending
+/// events.
+///
+/// # Limits
+///
+/// The packing bounds a queue to 2^40 schedules between
+/// [`reset`](Self::reset)s and 2^24 (about 16.7 million) pending events at
+/// once. [`schedule`](Self::schedule) panics rather than wrap past either.
+/// A simulation stops at its event budget (5·10^8 by default), far below the
+/// first limit, and holds a few hundred events pending, far below the
+/// second.
 ///
 /// # Example
 ///
@@ -68,7 +65,12 @@ impl<E> Ord for Entry<E> {
 /// assert_eq!(order, vec!['a', 'b', 'c']);
 /// ```
 pub struct EventQueue<E> {
-    heap: BinaryHeap<Entry<E>>,
+    /// Packed keys of the pending events, earliest first.
+    heap: BinaryHeap<Reverse<u128>>,
+    /// Payloads by slot; `None` marks a free slot.
+    slab: Vec<Option<E>>,
+    /// Free slots of `slab`, the most recently freed on top.
+    free: Vec<u32>,
     next_seq: u64,
     now: SimTime,
     processed: u64,
@@ -88,6 +90,8 @@ impl<E> EventQueue<E> {
     pub fn with_capacity(capacity: usize) -> Self {
         EventQueue {
             heap: BinaryHeap::with_capacity(capacity),
+            slab: Vec::with_capacity(capacity),
+            free: Vec::with_capacity(capacity),
             next_seq: 0,
             now: SimTime::ZERO,
             processed: 0,
@@ -96,9 +100,13 @@ impl<E> EventQueue<E> {
     }
 
     /// Total capacity of the backing storage, in events (useful for
-    /// allocation tests).
+    /// allocation tests): how many events the heap, the payload slab and
+    /// its free list can all hold without reallocating.
     pub fn capacity(&self) -> usize {
-        self.heap.capacity()
+        self.heap
+            .capacity()
+            .min(self.slab.capacity())
+            .min(self.free.capacity())
     }
 
     /// Grows the backing storage to hold at least `total` pending events.
@@ -106,9 +114,11 @@ impl<E> EventQueue<E> {
     /// pre-sizing a fresh [`with_capacity`](Self::with_capacity) queue
     /// would have; a no-op once the storage has plateaued.
     pub fn reserve(&mut self, total: usize) {
-        // `BinaryHeap::reserve` counts the extra room from the current
-        // length, not from the current capacity.
+        // `reserve` counts the extra room from the current length, not
+        // from the current capacity.
         self.heap.reserve(total.saturating_sub(self.heap.len()));
+        self.slab.reserve(total.saturating_sub(self.slab.len()));
+        self.free.reserve(total.saturating_sub(self.free.len()));
     }
 
     /// Clears all pending events and rewinds the clock, sequence counter
@@ -116,7 +126,7 @@ impl<E> EventQueue<E> {
     /// backing allocation**. Harness-internal reruns reset-and-reuse one
     /// queue instead of re-growing an empty, capacity-zero heap.
     pub fn reset(&mut self) {
-        self.heap.clear();
+        self.clear();
         self.next_seq = 0;
         self.now = SimTime::ZERO;
         self.processed = 0;
@@ -159,6 +169,11 @@ impl<E> EventQueue<E> {
     /// never moves backwards; this turns causality bugs into zero-delay
     /// events rather than time travel, and [`clamped`](Self::clamped)
     /// counts every occurrence so they cannot pass silently.
+    ///
+    /// # Panics
+    ///
+    /// Panics on the 2^40-th schedule since the last reset, or when 2^24
+    /// events are already pending (see [Limits](Self#limits)).
     pub fn schedule(&mut self, time: SimTime, event: E) {
         let time = if time < self.now {
             self.clamped += 1;
@@ -167,9 +182,26 @@ impl<E> EventQueue<E> {
             time
         };
         let seq = self.next_seq;
+        assert!(
+            seq < MAX_SCHEDULES,
+            "event queue: 2^40 schedules since the last reset"
+        );
         self.next_seq += 1;
-        let key = (time.as_nanos() as u128) << 64 | seq as u128;
-        self.heap.push(Entry { key, event });
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                debug_assert!(self.slab[slot as usize].is_none(), "free slot in use");
+                self.slab[slot as usize] = Some(event);
+                slot as usize
+            }
+            None => {
+                let slot = self.slab.len();
+                assert!(slot < MAX_PENDING, "event queue: 2^24 events pending");
+                self.slab.push(Some(event));
+                slot
+            }
+        };
+        let key = (time.as_nanos() as u128) << 64 | (seq as u128) << SLOT_BITS | slot as u128;
+        self.heap.push(Reverse(key));
     }
 
     /// Schedules `event` after a delay relative to the current time.
@@ -177,14 +209,24 @@ impl<E> EventQueue<E> {
         self.schedule(self.now + delay, event);
     }
 
+    /// Moves the payload of a popped key out of the slab and frees its
+    /// slot.
+    fn take(&mut self, key: u128) -> E {
+        let slot = key_slot(key);
+        self.free.push(slot as u32);
+        self.slab[slot]
+            .take()
+            .expect("a pending key's slot holds its payload")
+    }
+
     /// Pops the next event, advancing the clock to its timestamp.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let entry = self.heap.pop()?;
-        let time = entry.time();
+        let Reverse(key) = self.heap.pop()?;
+        let time = SimTime::from_nanos(key_nanos(key));
         debug_assert!(time >= self.now, "event queue time went backwards");
         self.now = time;
         self.processed += 1;
-        Some((time, entry.event))
+        Some((time, self.take(key)))
     }
 
     /// Pops the next event **and every further event sharing its
@@ -202,24 +244,30 @@ impl<E> EventQueue<E> {
         let (time, first) = self.pop()?;
         out.push(first);
         let nanos = time.as_nanos();
-        while let Some(top) = self.heap.peek_mut() {
-            if top.time_nanos() != nanos {
-                break;
-            }
+        loop {
+            let key = match self.heap.peek_mut() {
+                Some(top) if key_nanos(top.0) == nanos => PeekMut::pop(top).0,
+                _ => break,
+            };
             self.processed += 1;
-            out.push(PeekMut::pop(top).event);
+            out.push(self.take(key));
         }
         Some(time)
     }
 
     /// Returns the timestamp of the next pending event without popping it.
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(Entry::time)
+        self.heap
+            .peek()
+            .map(|&Reverse(key)| SimTime::from_nanos(key_nanos(key)))
     }
 
-    /// Removes all pending events, keeping the clock where it is.
+    /// Removes (and drops) all pending events, keeping the clock, the
+    /// counters and the backing allocation.
     pub fn clear(&mut self) {
         self.heap.clear();
+        self.slab.clear();
+        self.free.clear();
     }
 }
 
@@ -243,6 +291,7 @@ impl<E> fmt::Debug for EventQueue<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::rc::Rc;
 
     #[test]
     fn pops_in_time_order() {
@@ -381,5 +430,58 @@ mod tests {
         assert_eq!(batch, vec!['c']);
         assert_eq!(q.pop_batch_into(&mut batch), None);
         assert!(batch.is_empty());
+    }
+
+    /// Every scheduled payload leaves the slab exactly once: handed back by
+    /// `pop` or `pop_batch_into`, or dropped by `clear`, `reset` or dropping
+    /// the queue, across any amount of slot reuse. A payload lost in the
+    /// slab or handed out twice would show in the `Rc` count.
+    #[test]
+    fn the_slab_hands_each_payload_back_exactly_once() {
+        let token = Rc::new(());
+        let live = |q: &EventQueue<Rc<()>>| 1 + q.len();
+        let mut q = EventQueue::new();
+        let mut batch = Vec::new();
+        for round in 0..6u64 {
+            // Clustered times give same-timestamp batches; the pops between
+            // the schedules free slots that the next schedules reuse.
+            for i in 0..40 {
+                q.schedule(SimTime::from_nanos(round * 100 + i % 5), Rc::clone(&token));
+                if i % 3 == 0 {
+                    let (_, payload) = q.pop().expect("a pending event");
+                    assert_eq!(Rc::strong_count(&token), live(&q) + 1);
+                    drop(payload);
+                }
+            }
+            assert!(q.pop_batch_into(&mut batch).is_some());
+            assert_eq!(Rc::strong_count(&token), live(&q) + batch.len());
+            batch.clear();
+            assert_eq!(Rc::strong_count(&token), live(&q));
+            match round {
+                2 => q.clear(),
+                4 => q.reset(),
+                _ => {}
+            }
+            assert_eq!(Rc::strong_count(&token), live(&q));
+        }
+        assert!(!q.is_empty(), "the last rounds leave events pending");
+        drop(q);
+        assert_eq!(Rc::strong_count(&token), 1);
+    }
+
+    #[test]
+    fn keys_pack_time_over_sequence_over_slot() {
+        let mut q = EventQueue::new();
+        // Slot 0 is freed and reused by a later schedule at the same time:
+        // the sequence number, not the slot, decides the order.
+        q.schedule(SimTime::from_nanos(1), 'x');
+        q.schedule(SimTime::from_nanos(9), 'a');
+        assert_eq!(q.pop(), Some((SimTime::from_nanos(1), 'x')));
+        q.schedule(SimTime::from_nanos(9), 'b');
+        q.schedule(SimTime::from_nanos(u64::MAX), 'z');
+        q.schedule(SimTime::from_nanos(9), 'c');
+        let order: Vec<char> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
+        assert_eq!(order, vec!['a', 'b', 'c', 'z']);
+        assert_eq!(q.now(), SimTime::from_nanos(u64::MAX));
     }
 }

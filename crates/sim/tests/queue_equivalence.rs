@@ -5,10 +5,10 @@
 //! sequence: `(time, insertion-seq)` order, with past times clamped to the
 //! clock. These tests drive the queue and a deliberately naive model of
 //! that contract through identical random interleavings of `schedule` /
-//! `schedule_after` / `pop` / `pop_batch_into` / `reset` and require the
-//! full observable history (popped times and payloads, batch boundaries,
-//! clock, processed and clamped counters, pending length) to match
-//! exactly. Whole-simulation determinism rests on this property.
+//! `schedule_after` / `pop` / `pop_batch_into` / `clear` / `reset` and
+//! require the full observable history (popped times and payloads, batch
+//! boundaries, clock, processed and clamped counters, pending length) to
+//! match exactly. Whole-simulation determinism rests on this property.
 
 use gpreempt_sim::EventQueue;
 use gpreempt_types::SimTime;
@@ -27,6 +27,8 @@ enum Op {
     Pop,
     /// Pop a whole same-timestamp batch.
     PopBatch,
+    /// Drop every pending event; the clock and counters carry on.
+    Clear,
     /// Reset the queue to a fresh state (keeps the allocation).
     Reset,
 }
@@ -36,12 +38,13 @@ fn op_strategy() -> impl Strategy<Value = Op> {
     // `prop_oneof!`): clustered absolute times force same-timestamp
     // collisions (FIFO order must hold), the uniform tail spreads events
     // far apart and lands many schedules behind an advanced clock.
-    (0u32..16, 0u64..100_000_000).prop_map(|(sel, raw)| match sel {
+    (0u32..17, 0u64..100_000_000).prop_map(|(sel, raw)| match sel {
         0..=3 => Op::Schedule((raw % 50_000) / 500 * 500),
         4..=5 => Op::Schedule(raw),
         6..=8 => Op::ScheduleAfter(raw % 10_000),
         9..=12 => Op::Pop,
         13..=14 => Op::PopBatch,
+        15 => Op::Clear,
         _ => Op::Reset,
     })
 }
@@ -67,6 +70,7 @@ trait Queue {
     fn pop(&mut self) -> Option<(u64, u64)>;
     /// Pops the next same-timestamp cohort into `out`; returns its time.
     fn pop_batch(&mut self, out: &mut Vec<u64>) -> Option<u64>;
+    fn clear(&mut self);
     fn reset(&mut self);
     /// The state a [`History`] records, with no pops.
     fn state(&self) -> History;
@@ -87,6 +91,10 @@ impl Queue for EventQueue<u64> {
 
     fn pop_batch(&mut self, out: &mut Vec<u64>) -> Option<u64> {
         self.pop_batch_into(out).map(SimTime::as_nanos)
+    }
+
+    fn clear(&mut self) {
+        EventQueue::clear(self);
     }
 
     fn reset(&mut self) {
@@ -156,6 +164,10 @@ impl Queue for Model {
         Some(time)
     }
 
+    fn clear(&mut self) {
+        self.pending.clear();
+    }
+
     fn reset(&mut self) {
         *self = Model::default();
     }
@@ -193,6 +205,7 @@ fn run(mut q: impl Queue, ops: &[Op]) -> History {
                     pops.push((u64::MAX, u64::MAX));
                 }
             }
+            Op::Clear => q.clear(),
             Op::Reset => q.reset(),
         }
     }

@@ -143,13 +143,25 @@ impl SimTime {
         }
     }
 
-    /// Scales a duration by a floating point factor (clamped at zero).
+    /// Scales a duration by a floating point factor (clamped at zero),
+    /// rounding half away from zero exactly as [`f64::round`] does.
     #[inline]
     pub fn scale(self, factor: f64) -> SimTime {
-        if !factor.is_finite() || factor <= 0.0 {
+        // Not a positive finite factor (NaN fails both compares): zero.
+        if !(factor > 0.0 && factor < f64::INFINITY) {
             return SimTime::ZERO;
         }
-        SimTime((self.0 as f64 * factor).round() as u64)
+        let x = self.0 as f64 * factor;
+        // `x` is not negative. Below 2^63 the truncation `t` is exact and so
+        // is `x - t` (the fractional part of `x`), so one compare rounds
+        // the way `f64::round` does without calling into libm; the signed
+        // conversions are single instructions. The jittered durations of
+        // every issued block take this path.
+        if x < 9_223_372_036_854_775_808.0 {
+            let t = x as i64;
+            return SimTime((t + i64::from(x - t as f64 >= 0.5)) as u64);
+        }
+        SimTime(x.round() as u64)
     }
 
     /// The ratio of two durations as `f64`.
@@ -301,6 +313,115 @@ mod tests {
         assert_eq!(SimTime::ZERO.ratio(SimTime::ZERO), 0.0);
         assert_eq!(a.scale(0.5).as_nanos(), 50);
         assert_eq!(a.scale(-1.0), SimTime::ZERO);
+    }
+
+    /// `scale` as it was written before its libm-free rounding: the guard,
+    /// then `f64::round`.
+    fn scale_by_round(t: SimTime, factor: f64) -> SimTime {
+        if !factor.is_finite() || factor <= 0.0 {
+            return SimTime::ZERO;
+        }
+        SimTime((t.0 as f64 * factor).round() as u64)
+    }
+
+    fn assert_scales_like_round(ns: u64, factor: f64) {
+        let t = SimTime(ns);
+        assert_eq!(
+            t.scale(factor),
+            scale_by_round(t, factor),
+            "{ns} ns x {factor:e} (product {:e})",
+            ns as f64 * factor
+        );
+    }
+
+    /// The next representable `f64` above / below a positive finite `x`.
+    fn ulp_up(x: f64) -> f64 {
+        f64::from_bits(x.to_bits() + 1)
+    }
+
+    fn ulp_down(x: f64) -> f64 {
+        f64::from_bits(x.to_bits() - 1)
+    }
+
+    #[test]
+    fn scale_rounds_bit_identically_to_f64_round() {
+        // Exact halves round away from zero; one ulp either side of a half
+        // rounds to the nearer integer. `ns = 1` makes the product equal
+        // the factor, so these land exactly where intended.
+        for k in [0.0, 1.0, 2.0, 7.0, 1e6, 2f64.powi(31), 2f64.powi(51) - 1.0] {
+            let half = k + 0.5;
+            for factor in [half, ulp_up(half), ulp_down(half)] {
+                assert_scales_like_round(1, factor);
+            }
+            for ns in [3, 5, 1_000_001] {
+                assert_scales_like_round(ns, 0.5);
+            }
+        }
+        // Products around the float-precision and conversion thresholds.
+        for exp in [52, 53, 63, 64] {
+            let p = 2f64.powi(exp);
+            for factor in [p, ulp_up(p), ulp_down(p), p - 0.5, p + 1.5, p * 0.75] {
+                assert_scales_like_round(1, factor);
+            }
+            let ns = p.min(u64::MAX as f64) as u64;
+            for delta in [0, 1, 2, 3] {
+                for factor in [1.0, ulp_up(1.0), ulp_down(1.0), 0.5, 1.5] {
+                    assert_scales_like_round(ns.saturating_sub(delta), factor);
+                    assert_scales_like_round(ns.saturating_add(delta), factor);
+                }
+            }
+        }
+        for factor in [1.0, ulp_down(1.0), ulp_up(1.0), 0.5, 2.0] {
+            assert_scales_like_round(u64::MAX, factor);
+            assert_scales_like_round(u64::MAX - 1024, factor);
+        }
+        // Degenerate factors, tiny and huge ones.
+        let special = [
+            0.0,
+            -0.0,
+            -1.0,
+            -0.5,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::MIN_POSITIVE,
+            f64::MIN_POSITIVE / 4.0,
+            f64::from_bits(1),
+            1e300,
+            f64::MAX,
+        ];
+        for factor in special {
+            for ns in [0, 1, 2, 1_000, 1 << 40, u64::MAX] {
+                assert_scales_like_round(ns, factor);
+            }
+        }
+    }
+
+    #[test]
+    fn scale_matches_f64_round_on_a_seeded_sweep() {
+        // splitmix64: a fixed stream, no dependency.
+        let mut state = 0x2014_u64;
+        let mut next = || {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        };
+        for _ in 0..200_000 {
+            let (a, b, c) = (next(), next(), next());
+            // Durations from nanoseconds to the full range, factors from
+            // block-time jitter (±99 %) to arbitrary magnitudes.
+            let ns = a >> (b % 64);
+            let unit = (c >> 11) as f64 / (1u64 << 53) as f64;
+            let factor = match b % 4 {
+                0 => 0.01 + 1.98 * unit,
+                1 => unit,
+                2 => 2f64.powi((c % 160) as i32 - 80) * (0.5 + unit),
+                _ => f64::from_bits(c),
+            };
+            assert_scales_like_round(ns, factor);
+        }
     }
 
     #[test]
