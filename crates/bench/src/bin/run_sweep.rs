@@ -18,8 +18,6 @@
 //! * `--format table|json` (default `table`). JSON goes to stdout; the
 //!   wall-clock summary always goes to stderr so piped JSON stays clean.
 //! * `--seed N` overrides the workload-generation seed of the scale.
-//! * `--affinity` pins each sweep worker to a core (Linux only; a no-op
-//!   elsewhere).
 //! * `--depth-trace US` samples every process's queue depth every `US`
 //!   microseconds of simulated time; the traces ride along as a `series`
 //!   field on saturation JSONL records.
@@ -116,7 +114,6 @@ fn usage() {
     println!("  --jobs N          worker threads, 0 = one per CPU  (default 0)");
     println!("  --format table|json                                (default table)");
     println!("  --seed N          workload-generation seed override");
-    println!("  --affinity        pin each sweep worker to a core (Linux; no-op elsewhere)");
     println!("  --depth-trace US  sample per-process queue depth every US microseconds");
     println!("  --shard K/N       simulate only scenario ids with id % N == K,");
     println!("                    checkpointing fold values; resumes automatically");
@@ -145,7 +142,7 @@ fn validate_stdin() -> Result<(), Box<dyn std::error::Error>> {
 fn scale_of(
     name: &str,
     seed: Option<u64>,
-    depth_trace_us: Option<u64>,
+    depth_trace: Option<SimTime>,
 ) -> Result<ExperimentScale, String> {
     let mut scale = match name {
         "quick" => ExperimentScale::quick(),
@@ -154,7 +151,19 @@ fn scale_of(
         other => return Err(format!("unknown scale {other:?}")),
     };
     scale.seed = seed.unwrap_or(scale.seed);
-    Ok(scale.with_depth_trace(depth_trace_us.map(SimTime::from_micros)))
+    Ok(scale.with_depth_trace(depth_trace))
+}
+
+/// The `--depth-trace` interval: microseconds whose nanosecond count must
+/// fit the simulation clock, or an error naming the flag and the value.
+fn depth_trace_of(args: &mut impl Iterator<Item = String>) -> Result<SimTime, String> {
+    let us: u64 = number_of(args, "--depth-trace")?;
+    SimTime::checked_from_micros(us).ok_or_else(|| {
+        format!(
+            "bad --depth-trace value \"{us}\": exceeds the largest interval, {} us",
+            u64::MAX / 1_000
+        )
+    })
 }
 
 /// Per-experiment throughput, printed with `--timing` the moment each
@@ -207,10 +216,11 @@ fn merge_main(mut args: impl Iterator<Item = String>) -> Result<(), Box<dyn std:
     let merged = MergedValues::load(&files)?;
     let manifest = merged.manifest();
     let selection = select(&manifest.experiment)?;
+    // `ShardManifest::parse` rejected intervals that overflow nanoseconds.
     let scale = scale_of(
         &manifest.scale,
         Some(manifest.seed),
-        manifest.depth_trace_us,
+        manifest.depth_trace_us.map(SimTime::from_micros),
     )?;
 
     let config = SimulatorConfig::default();
@@ -250,8 +260,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut jobs = 0usize;
     let mut format = Format::Table;
     let mut seed: Option<u64> = None;
-    let mut affinity = false;
-    let mut depth_trace_us: Option<u64> = None;
+    let mut depth_trace: Option<SimTime> = None;
     let mut timing_table = false;
     let mut out_path: Option<String> = None;
     let mut shard: Option<ShardSpec> = None;
@@ -266,8 +275,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             "--out" => out_path = Some(value_of(&mut args, "--out")?),
             "--format" => format = parse_format(&value_of(&mut args, "--format")?)?,
             "--seed" => seed = Some(number_of(&mut args, "--seed")?),
-            "--affinity" => affinity = true,
-            "--depth-trace" => depth_trace_us = Some(number_of(&mut args, "--depth-trace")?),
+            "--depth-trace" => depth_trace = Some(depth_trace_of(&mut args)?),
             "--shard" => shard = Some(ShardSpec::parse(&value_of(&mut args, "--shard")?)?),
             "--shard-out" => shard_out = Some(value_of(&mut args, "--shard-out")?),
             "--timing" => timing_table = true,
@@ -281,7 +289,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     let selection = select(&experiment)?;
-    let scale = scale_of(&scale_name, seed, depth_trace_us)?;
+    let scale = scale_of(&scale_name, seed, depth_trace)?;
 
     // A shard run writes a checkpoint, not a report; the two outputs are
     // mutually exclusive by design.
@@ -307,7 +315,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     };
 
     let config = SimulatorConfig::default();
-    let runner = SweepRunner::new(jobs).with_affinity(affinity);
+    let runner = SweepRunner::new(jobs);
     // One isolated-run cache for the whole invocation: under
     // `--experiment all` the priority, spatial, mechanism and realtime
     // experiments share the same base configuration, so each distinct

@@ -73,6 +73,10 @@ fn run_sweep_errors_name_the_option() {
             (&["--jobs", "x"], &["--jobs", "x"]),
             (&["--seed", "-3"], &["--seed", "-3"]),
             (&["--depth-trace", "1e3"], &["--depth-trace", "1e3"]),
+            (
+                &["--experiment", "fig2", "--depth-trace", "18446744073709552"],
+                &["--depth-trace", "18446744073709552"],
+            ),
             (&["merge", "--jobs", "many"], &["--jobs", "many"]),
             (&["--experiment"], &["--experiment"]),
             (&["--scale"], &["--scale"]),

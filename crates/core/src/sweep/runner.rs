@@ -41,7 +41,6 @@ pub type ScenarioTap<'a, T> = dyn Fn(&Scenario, &T) -> Result<(), SimError> + Sy
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SweepRunner {
     jobs: usize,
-    affinity: bool,
 }
 
 impl SweepRunner {
@@ -55,10 +54,7 @@ impl SweepRunner {
         } else {
             jobs
         };
-        SweepRunner {
-            jobs,
-            affinity: false,
-        }
+        SweepRunner { jobs }
     }
 
     /// A single-threaded runner (the historical harness behaviour).
@@ -66,26 +62,9 @@ impl SweepRunner {
         SweepRunner::new(1)
     }
 
-    /// Pins each spawned worker thread to one CPU core (worker `w` to core
-    /// `w mod cpus`), so a worker's arena and intern table stop migrating
-    /// across cores mid-stream. Best effort: platforms (or sandboxes)
-    /// rejecting the affinity syscall run unpinned. The sequential path
-    /// never pins — it would confine the *caller's* thread beyond the
-    /// sweep's lifetime.
-    #[must_use]
-    pub fn with_affinity(mut self, affinity: bool) -> Self {
-        self.affinity = affinity;
-        self
-    }
-
     /// The configured worker count.
     pub fn jobs(&self) -> usize {
         self.jobs
-    }
-
-    /// Whether worker-thread core pinning is enabled.
-    pub fn affinity(&self) -> bool {
-        self.affinity
     }
 
     /// Scenario ids a worker claims per shared-counter increment.
@@ -184,20 +163,10 @@ impl SweepRunner {
             let chunk = Self::chunk_size(ids.len(), workers);
             let harvested = std::thread::scope(|scope| {
                 let handles: Vec<_> = (0..workers)
-                    .map(|w| {
+                    .map(|_| {
                         let next = &next;
                         let failed = &failed;
                         scope.spawn(move || {
-                            // Optional core pinning: worker w sticks to one
-                            // core for its whole scenario stream, so the
-                            // arena it warms below stays cache-local. Best
-                            // effort — a rejected pin runs unpinned.
-                            if self.affinity {
-                                let cpus = std::thread::available_parallelism()
-                                    .map(std::num::NonZeroUsize::get)
-                                    .unwrap_or(1);
-                                let _ = gpreempt_sim::pin_current_thread(w % cpus);
-                            }
                             let mut local = Vec::new();
                             // One arena per worker: every scenario this
                             // worker pulls reuses the same host/engine/queue
@@ -881,19 +850,39 @@ mod tests {
         }
     }
 
-    /// Core pinning is a pure performance hint: pinned workers produce
-    /// bit-identical results (and the builder round-trips).
+    /// Two workers run two scenarios at the same time: each fold waits
+    /// until both folds have entered, which only a second worker can
+    /// satisfy. Checks the overlap itself, not a wall-clock ratio.
     #[test]
-    fn affinity_does_not_change_results() {
-        let plan = tiny_plan(4);
-        let runner = SweepRunner::new(2);
-        assert!(!runner.affinity());
-        let pinned = runner.with_affinity(true);
-        assert!(pinned.affinity());
-        assert_eq!(
-            fingerprints(&run(runner, &plan).unwrap()),
-            fingerprints(&run(pinned, &plan).unwrap())
-        );
+    fn two_workers_overlap_their_scenarios() {
+        use std::sync::{Condvar, Mutex};
+
+        let plan = lean_plan(2);
+        let entered = Mutex::new(0usize);
+        let both_in = Condvar::new();
+        let results = SweepRunner::new(2)
+            .run_fold_tap(
+                &plan,
+                &|_, run| {
+                    let mut count = entered.lock().unwrap();
+                    *count += 1;
+                    both_in.notify_all();
+                    let (count, timeout) = both_in
+                        .wait_timeout_while(count, Duration::from_secs(30), |n| *n < 2)
+                        .unwrap();
+                    if timeout.timed_out() {
+                        return Err(SimError::internal(format!(
+                            "workers never overlapped ({} in fold)",
+                            *count
+                        )));
+                    }
+                    Ok(run.events_processed())
+                },
+                &|_, _| Ok(()),
+            )
+            .unwrap();
+        assert_eq!(results.jobs(), 2);
+        assert_eq!(results.len(), 2);
     }
 
     #[test]

@@ -164,8 +164,11 @@ impl ShardManifest {
         .to_json()
     }
 
-    fn parse(line: &str) -> Result<Self, SimError> {
-        let bad = |what: &str| SimError::internal(format!("invalid shard manifest: {what}"));
+    /// Parses the manifest line of the checkpoint `path` (named in every
+    /// error).
+    fn parse(line: &str, path: &str) -> Result<Self, SimError> {
+        let bad =
+            |what: &str| SimError::internal(format!("invalid shard manifest in {path}: {what}"));
         let v = json::parse(line).map_err(|e| bad(&e))?;
         if v.get("manifest").and_then(Value::as_u64) != Some(1) {
             return Err(bad(
@@ -191,11 +194,18 @@ impl ShardManifest {
         }
         let depth_trace_us = match field("depth_trace_us")? {
             Value::Null => None,
-            other => Some(
-                other
+            other => {
+                let us = other
                     .as_u64()
-                    .ok_or_else(|| bad("depth_trace_us is not an unsigned integer"))?,
-            ),
+                    .ok_or_else(|| bad("depth_trace_us is not an unsigned integer"))?;
+                if SimTime::checked_from_micros(us).is_none() {
+                    return Err(bad(&format!(
+                        "depth_trace_us {us} exceeds the largest interval, {} us",
+                        u64::MAX / 1_000
+                    )));
+                }
+                Some(us)
+            }
         };
         Ok(ShardManifest {
             experiment: string("experiment")?,
@@ -321,7 +331,7 @@ impl ShardSession {
         let mut valid_lines: Vec<&str> = Vec::new();
         let mut lines = existing.lines();
         if let Some(header) = lines.next() {
-            let on_disk = ShardManifest::parse(header)?;
+            let on_disk = ShardManifest::parse(header, &shown)?;
             manifest.ensure_matches(&on_disk, &shown)?;
             valid_lines.push(header);
             for line in lines {
@@ -459,8 +469,7 @@ impl MergedValues {
             let text = std::fs::read_to_string(path)
                 .map_err(|e| SimError::internal(format!("cannot read shard {shown}: {e}")))?;
             let mut lines = text.lines();
-            let manifest = ShardManifest::parse(lines.next().unwrap_or_default())
-                .map_err(|e| SimError::internal(format!("{shown}: {e}")))?;
+            let manifest = ShardManifest::parse(lines.next().unwrap_or_default(), &shown)?;
             match &reference {
                 None => reference = Some(manifest.clone()),
                 Some(first) => {
@@ -808,7 +817,7 @@ mod tests {
             ShardSpec { index: 2, count: 4 },
         );
         assert_eq!((m.seed, m.depth_trace_us), (42, Some(250)));
-        let parsed = ShardManifest::parse(&m.to_json()).unwrap();
+        let parsed = ShardManifest::parse(&m.to_json(), "shard.jsonl").unwrap();
         assert_eq!(parsed, m);
         assert_eq!(parsed.schema, schema_fingerprint());
     }
@@ -823,6 +832,27 @@ mod tests {
             ShardManifest::new("fig2", "quick", &ExperimentScale::quick(), spec)
         );
         assert!(zero.to_json().contains(r#""depth_trace_us":null"#));
+    }
+
+    /// A depth-trace interval whose nanosecond count overflows would wrap
+    /// to a different interval (or to zero, "tracing off"): such a
+    /// checkpoint fails to load, naming the file and the field.
+    #[test]
+    fn overflowing_depth_trace_fails_to_load() {
+        let dir = temp_dir("depth-overflow");
+        let path = dir.join("shard.jsonl");
+        let spec = ShardSpec { index: 0, count: 1 };
+        let mut m = manifest(spec);
+        m.depth_trace_us = Some(u64::MAX / 1_000 + 1);
+        std::fs::write(&path, format!("{}\n", m.to_json())).unwrap();
+        let shown = path.display().to_string();
+        let merge = MergedValues::load(&[&path]).unwrap_err().to_string();
+        let resume = ShardSession::open(&path, m).unwrap_err().to_string();
+        for err in [merge, resume] {
+            assert!(err.contains(&shown), "{err}");
+            assert!(err.contains("depth_trace_us 18446744073709552"), "{err}");
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -44,6 +44,16 @@ impl SimTime {
         SimTime(us * 1_000)
     }
 
+    /// Creates a time from microseconds, or `None` when the nanosecond
+    /// count would overflow (above `u64::MAX / 1_000` µs).
+    #[inline]
+    pub const fn checked_from_micros(us: u64) -> Option<Self> {
+        match us.checked_mul(1_000) {
+            Some(ns) => Some(SimTime(ns)),
+            None => None,
+        }
+    }
+
     /// Creates a time from milliseconds.
     #[inline]
     pub const fn from_millis(ms: u64) -> Self {
@@ -445,6 +455,20 @@ mod tests {
         assert_eq!(format!("{}", SimTime::from_micros(12)), "12.000us");
         assert_eq!(format!("{}", SimTime::from_millis(12)), "12.000ms");
         assert_eq!(format!("{}", SimTime::from_secs(12)), "12.000s");
+    }
+
+    #[test]
+    fn checked_from_micros_stops_at_the_nanosecond_range() {
+        let largest = u64::MAX / 1_000;
+        assert_eq!(
+            SimTime::checked_from_micros(largest),
+            Some(SimTime::from_nanos(largest * 1_000))
+        );
+        assert_eq!(SimTime::checked_from_micros(largest + 1), None);
+        assert_eq!(
+            SimTime::checked_from_micros(250),
+            Some(SimTime::from_micros(250))
+        );
     }
 
     #[test]
