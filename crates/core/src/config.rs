@@ -2,10 +2,7 @@
 
 use gpreempt_gpu::{EngineParams, MechanismSelection, PreemptionMechanism};
 use gpreempt_host::TransferPolicy;
-use gpreempt_sched::{
-    DssPolicy, EdfPolicy, FcfsPolicy, GcapsPolicy, NpqPolicy, PpqPolicy, RoundRobinPolicy,
-    SchedulingPolicy,
-};
+use gpreempt_sched::{DssPolicy, FcfsPolicy, PriorityPolicy, RoundRobinPolicy, SchedulingPolicy};
 use gpreempt_trace::Workload;
 use gpreempt_types::{SimConfig, SimTime};
 
@@ -98,12 +95,12 @@ impl PolicyKind {
     pub fn build(self, workload: &Workload, n_sms: u32) -> Box<dyn SchedulingPolicy> {
         match self {
             PolicyKind::Fcfs => Box::new(FcfsPolicy::new()),
-            PolicyKind::Npq => Box::new(NpqPolicy::new()),
-            PolicyKind::PpqExclusive => Box::new(PpqPolicy::exclusive()),
-            PolicyKind::PpqShared => Box::new(PpqPolicy::shared()),
+            PolicyKind::Npq => Box::new(PriorityPolicy::npq()),
+            PolicyKind::PpqExclusive => Box::new(PriorityPolicy::ppq_exclusive()),
+            PolicyKind::PpqShared => Box::new(PriorityPolicy::ppq_shared()),
             PolicyKind::Dss => Box::new(DssPolicy::equal_share(n_sms, workload.len())),
-            PolicyKind::Gcaps => Box::new(GcapsPolicy::new()),
-            PolicyKind::Edf => Box::new(EdfPolicy::new()),
+            PolicyKind::Gcaps => Box::new(PriorityPolicy::gcaps()),
+            PolicyKind::Edf => Box::new(PriorityPolicy::edf()),
             PolicyKind::RoundRobin => Box::new(RoundRobinPolicy::new()),
         }
     }

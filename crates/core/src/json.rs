@@ -183,16 +183,23 @@ fn write_string(s: &str, out: &mut String) {
     out.push('"');
 }
 
+/// The deepest array/object nesting [`parse`] accepts, far deeper than any
+/// document this crate writes. The parser recurses once per level, so the
+/// bound keeps hostile input from overflowing the stack.
+const MAX_DEPTH: usize = 128;
+
 /// Parses JSON text into a [`Value`].
 ///
 /// # Errors
 ///
 /// Returns a human-readable description of the first syntax error, with the
-/// byte offset at which it occurred.
+/// byte offset at which it occurred. Nesting deeper than 128 arrays and
+/// objects is an error too.
 pub fn parse(text: &str) -> Result<Value, String> {
     let mut p = Parser {
         bytes: text.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_whitespace();
     let value = p.parse_value()?;
@@ -206,6 +213,8 @@ pub fn parse(text: &str) -> Result<Value, String> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -234,8 +243,8 @@ impl Parser<'_> {
             Some(b't') => self.parse_literal("true", Value::Bool(true)),
             Some(b'f') => self.parse_literal("false", Value::Bool(false)),
             Some(b'"') => self.parse_string().map(Value::String),
-            Some(b'[') => self.parse_array(),
-            Some(b'{') => self.parse_object(),
+            Some(b'[') => self.nested(Self::parse_array),
+            Some(b'{') => self.nested(Self::parse_object),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.parse_number(),
             Some(c) => Err(format!(
                 "unexpected character {:?} at byte {}",
@@ -243,6 +252,20 @@ impl Parser<'_> {
             )),
             None => Err("unexpected end of input".to_string()),
         }
+    }
+
+    /// Parses one array or object with `parse`, one level deeper.
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Value, String>) -> Result<Value, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!(
+                "nesting deeper than {MAX_DEPTH} at byte {}",
+                self.pos
+            ));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn parse_literal(&mut self, literal: &str, value: Value) -> Result<Value, String> {
@@ -483,6 +506,20 @@ mod tests {
         assert!(parse("{\"a\":1} trailing").is_err());
         assert!(parse("nul").is_err());
         assert!(parse("\"unterminated").is_err());
+    }
+
+    /// Nesting is bounded, so a hostile document is an error rather than a
+    /// stack overflow.
+    #[test]
+    fn deep_nesting_is_an_error() {
+        let deepest = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&deepest).is_ok());
+        let err = parse(&format!("[{deepest}]")).unwrap_err();
+        assert_eq!(err, "nesting deeper than 128 at byte 128");
+        let err = parse(&"[".repeat(100_000)).unwrap_err();
+        assert_eq!(err, "nesting deeper than 128 at byte 128");
+        let err = parse(&format!("{}1", "{\"a\":".repeat(200))).unwrap_err();
+        assert!(err.starts_with("nesting deeper than 128 at byte "), "{err}");
     }
 
     #[test]

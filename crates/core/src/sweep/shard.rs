@@ -954,6 +954,33 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// A record line nested past the parser's depth bound is an error, not
+    /// a stack overflow: merge refuses the file by name, and a resumed
+    /// shard discards it like any other torn tail.
+    #[test]
+    fn deeply_nested_record_is_refused_or_discarded() {
+        let dir = temp_dir("deep");
+        let path = dir.join("shard.jsonl");
+        let spec = ShardSpec { index: 0, count: 1 };
+        {
+            let session = ShardSession::open(&path, manifest(spec)).unwrap();
+            session.record("fig2", 0, 1u64.encode()).unwrap();
+        }
+        let mut text = std::fs::read_to_string(&path).unwrap();
+        text.push_str(&"[".repeat(100_000));
+        text.push('\n');
+        std::fs::write(&path, text).unwrap();
+        let err = MergedValues::load(&[&path]).unwrap_err().to_string();
+        assert!(err.contains(&path.display().to_string()), "{err}");
+        assert!(err.contains("nesting deeper than 128"), "{err}");
+        let session = ShardSession::open(&path, manifest(spec)).unwrap();
+        assert_eq!(session.resumed(), 1);
+        assert_eq!(session.pending_ids("fig2", 2), vec![1]);
+        let rewritten = std::fs::read_to_string(&path).unwrap();
+        assert_eq!(rewritten.lines().count(), 2, "the deep line is gone");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
     #[test]
     fn mismatched_manifest_refuses_to_resume() {
         let dir = temp_dir("mismatch");

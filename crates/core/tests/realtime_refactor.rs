@@ -131,12 +131,12 @@ fn run_fingerprint(
     )
 }
 
-/// GCAPS with its default unbounded latency budget degenerates to PPQ when
-/// no process carries a deadline: the urgency order, the exclusivity gate,
-/// the victim choice and the (inert) cost gate all collapse onto PPQ's
-/// rules, so the two policies must make **identical decisions** — same
-/// event count, same end time, same per-process turnarounds, same
-/// preemption counters — on every legacy workload.
+/// GCAPS degenerates to PPQ when no process carries a deadline: the
+/// urgency order, the exclusivity gate, the victim choice and the (inert)
+/// slack gate all collapse onto PPQ's rules, so the two policies must make
+/// **identical decisions** — same event count, same end time, same
+/// per-process turnarounds, same preemption counters — on every legacy
+/// workload.
 #[test]
 fn gcaps_without_deadlines_is_decision_identical_to_ppq() {
     let gpu = GpuConfig::default();

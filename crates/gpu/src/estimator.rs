@@ -22,8 +22,8 @@
 use crate::preempt::ContextSwitchCost;
 use gpreempt_types::{PreemptionMechanism, SimTime};
 
-/// Default EWMA smoothing factor: each observation contributes 25 %.
-const DEFAULT_ALPHA: f64 = 0.25;
+/// EWMA smoothing factor: each observation contributes 25 %.
+const ALPHA: f64 = 0.25;
 
 /// Per-kernel online estimate of block execution time.
 #[derive(Debug, Clone, Copy, Default)]
@@ -39,32 +39,19 @@ struct SlotEstimate {
 #[derive(Debug, Clone)]
 pub struct RemainingTimeEstimator {
     slots: Vec<SlotEstimate>,
-    alpha: f64,
 }
 
 impl RemainingTimeEstimator {
-    /// Creates an estimator for `n_slots` KSRT slots with the default
-    /// smoothing factor.
+    /// Creates an estimator for `n_slots` KSRT slots.
     pub fn new(n_slots: usize) -> Self {
-        Self::with_alpha(n_slots, DEFAULT_ALPHA)
-    }
-
-    /// Creates an estimator with an explicit EWMA smoothing factor in
-    /// `(0, 1]`; out-of-range values are clamped.
-    pub fn with_alpha(n_slots: usize, alpha: f64) -> Self {
         RemainingTimeEstimator {
             slots: vec![SlotEstimate::default(); n_slots],
-            alpha: if alpha.is_finite() {
-                alpha.clamp(f64::EPSILON, 1.0)
-            } else {
-                DEFAULT_ALPHA
-            },
         }
     }
 
     /// Rewinds every slot to the freshly-constructed state, keeping (and if
     /// necessary growing) the slot storage so a reused engine allocates
-    /// nothing per scenario. The smoothing factor is preserved.
+    /// nothing per scenario.
     pub fn reset(&mut self, n_slots: usize) {
         self.slots.clear();
         self.slots.resize(n_slots, SlotEstimate::default());
@@ -83,13 +70,12 @@ impl RemainingTimeEstimator {
 
     /// Folds one observed block duration into the slot's estimate.
     pub fn observe(&mut self, slot: usize, duration: SimTime) {
-        let alpha = self.alpha;
         if let Some(s) = self.slots.get_mut(slot) {
             let d = duration.as_nanos() as f64;
             s.mean_ns = if s.samples == 0 && s.mean_ns == 0.0 {
                 d
             } else {
-                s.mean_ns + alpha * (d - s.mean_ns)
+                s.mean_ns + ALPHA * (d - s.mean_ns)
             };
             s.samples += 1;
         }

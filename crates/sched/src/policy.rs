@@ -181,19 +181,19 @@ pub fn assign_idle_sms(
 }
 
 /// Scans the running SMs and returns the one whose current kernel carries
-/// the **greatest** eligibility key, or `None` if no kernel is eligible.
+/// the **greatest** eligibility key, together with that key, or `None` if
+/// no kernel is eligible.
 ///
 /// `key_of` maps an active kernel to its victim key — `None` marks it
 /// ineligible (e.g. it outranks the waiter). Ties keep the first (lowest-id)
-/// SM, matching the historical victim scans of the preemptive policies.
-/// This is the shared "pick the least urgent victim" idiom of
-/// [`GcapsPolicy`](crate::GcapsPolicy) and [`EdfPolicy`](crate::EdfPolicy):
-/// each policy only supplies its own ordering key.
+/// SM. This is the "pick the least urgent victim" step of
+/// [`PriorityPolicy`](crate::PriorityPolicy), which supplies its urgency
+/// as the key.
 pub fn select_victim<K: Ord>(
     engine: &ExecutionEngine,
     mut key_of: impl FnMut(&ExecutionEngine, KsrIndex) -> Option<K>,
-) -> Option<SmId> {
-    let mut best: Option<(K, SmId)> = None;
+) -> Option<(SmId, K)> {
+    let mut best: Option<(SmId, K)> = None;
     for sm in engine.sm_ids() {
         let status = engine.sm(sm);
         if status.state() != gpreempt_gpu::SmState::Running {
@@ -207,13 +207,13 @@ pub fn select_victim<K: Ord>(
         };
         let better = match &best {
             None => true,
-            Some((best_key, _)) => key > *best_key,
+            Some((_, best_key)) => key > *best_key,
         };
         if better {
-            best = Some((key, sm));
+            best = Some((sm, key));
         }
     }
-    best.map(|(_, sm)| sm)
+    best
 }
 
 /// Number of SMs currently owned by `ksr`: SMs executing it that are not in

@@ -5,10 +5,11 @@
 use crate::dss::DssPolicy;
 use crate::fcfs::FcfsPolicy;
 use crate::policy::owned_sms;
-use crate::priority::{NpqPolicy, PpqPolicy};
+use crate::priority::PriorityPolicy;
+use crate::rr::RoundRobinPolicy;
 use crate::testutil::{toy_launch_with_priority, PolicyHarness};
 use gpreempt_gpu::PreemptionMechanism;
-use gpreempt_types::{Priority, SimTime};
+use gpreempt_types::{Priority, RtSpec, SimTime};
 use proptest::prelude::*;
 
 /// A randomly sized kernel for one process.
@@ -17,14 +18,20 @@ struct Job {
     blocks: u32,
     block_us: u64,
     priority_level: u32,
+    /// A relative deadline in microseconds when below 20 000, none
+    /// otherwise, so about half of the jobs carry one.
+    deadline_us: u64,
 }
 
 fn job_strategy() -> impl Strategy<Value = Job> {
-    (8u32..400, 2u64..60, 0u32..2).prop_map(|(blocks, block_us, priority_level)| Job {
-        blocks,
-        block_us,
-        priority_level,
-    })
+    (8u32..400, 2u64..60, 0u32..2, 0u64..40_000).prop_map(
+        |(blocks, block_us, priority_level, deadline_us)| Job {
+            blocks,
+            block_us,
+            priority_level,
+            deadline_us,
+        },
+    )
 }
 
 fn submit_jobs(harness: &mut PolicyHarness, jobs: &[Job], honour_priority: bool) {
@@ -34,13 +41,15 @@ fn submit_jobs(harness: &mut PolicyHarness, jobs: &[Job], honour_priority: bool)
         } else {
             Priority::NORMAL
         };
-        harness.submit(toy_launch_with_priority(
-            i as u64,
-            i as u32,
-            job.blocks,
-            job.block_us,
-            priority,
-        ));
+        let mut launch =
+            toy_launch_with_priority(i as u64, i as u32, job.blocks, job.block_us, priority);
+        if job.deadline_us < 20_000 {
+            launch = launch.with_rt(
+                RtSpec::implicit(SimTime::from_micros(job.deadline_us)),
+                SimTime::ZERO,
+            );
+        }
+        harness.submit(launch);
     }
 }
 
@@ -49,7 +58,8 @@ proptest! {
 
     /// Every policy, with either preemption mechanism, finishes every kernel
     /// it is given (no starvation, no lost work) when each kernel belongs to
-    /// its own process.
+    /// its own process, with or without a deadline. The harness checks the
+    /// engine's invariants after every event.
     #[test]
     fn every_policy_completes_every_kernel(
         jobs in prop::collection::vec(job_strategy(), 1..8),
@@ -60,22 +70,27 @@ proptest! {
         } else {
             PreemptionMechanism::ContextSwitch
         };
-        let policies: Vec<Box<dyn crate::SchedulingPolicy>> = vec![
-            Box::new(FcfsPolicy::new()),
-            Box::new(NpqPolicy::new()),
-            Box::new(PpqPolicy::exclusive()),
-            Box::new(PpqPolicy::shared()),
-            Box::new(DssPolicy::equal_share(13, jobs.len())),
+        let harnesses = vec![
+            PolicyHarness::new(FcfsPolicy::new(), mechanism),
+            PolicyHarness::new(PriorityPolicy::npq(), mechanism),
+            PolicyHarness::new(PriorityPolicy::ppq_exclusive(), mechanism),
+            PolicyHarness::new(PriorityPolicy::ppq_shared(), mechanism),
+            PolicyHarness::new(DssPolicy::equal_share(13, jobs.len()), mechanism),
+            PolicyHarness::new(PriorityPolicy::gcaps(), mechanism),
+            PolicyHarness::new(PriorityPolicy::edf(), mechanism),
+            PolicyHarness::with_quantum(
+                RoundRobinPolicy::new(),
+                mechanism,
+                SimTime::from_micros(20),
+            ),
         ];
-        for policy in policies {
-            let name = policy.name();
-            let mut harness = PolicyHarness::new_boxed(policy, mechanism.into());
+        for mut harness in harnesses {
             submit_jobs(&mut harness, &jobs, true);
             harness.run_to_idle();
             prop_assert_eq!(
                 harness.completions().len(),
                 jobs.len(),
-                "{} with {} lost kernels", name, mechanism
+                "{:?} with {} lost kernels", harness, mechanism
             );
             let total_blocks: u64 = jobs.iter().map(|j| j.blocks as u64).sum();
             prop_assert_eq!(harness.engine().stats().blocks_completed, total_blocks);
@@ -129,7 +144,7 @@ proptest! {
         block_us in 5u64..50,
     ) {
         let mut harness = PolicyHarness::new(
-            PpqPolicy::exclusive(),
+            PriorityPolicy::ppq_exclusive(),
             PreemptionMechanism::ContextSwitch,
         );
         // Low-priority kernels first, then the high-priority one.
