@@ -684,7 +684,7 @@ impl Simulator {
                 iterations[record.process.index()].push(record);
             }
             // Open-arrival releases: the host raises admission requests and
-            // the policy answers (admit / shed / defer). Closed-loop
+            // the policy answers (admit / shed). Closed-loop
             // workloads never produce any, so this stays out of their hot
             // path.
             host.drain_release_requests_into(&mut scratch.releases);

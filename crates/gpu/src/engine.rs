@@ -9,13 +9,17 @@
 //!
 //! All hot state lives in slab/arena storage sized by the SM count: the
 //! KSRT is a generational slab (stale [`KsrIndex`] handles can never alias
-//! a reused slot), the SMST is split into hot and cold parallel arrays so
-//! scheduler scans stay on contiguous cache lines, and
+//! a reused slot), the SMST holds one typed record per SM whose phase
+//! carries exactly the data that phase needs, and
 //! [`reset`](ExecutionEngine::reset) rewinds everything without freeing, so
 //! one engine allocation can service an entire scenario stream.
+//!
+//! Every way an SM leaves its kernel (its kernel runs out of blocks or
+//! finishes, a preemption completes, a setup is cut short) goes through
+//! one `vacate` and one `hand_over`.
 
 use crate::estimator::{PreemptionEstimate, RemainingTimeEstimator};
-use crate::framework::{KernelState, KsrIndex, PreemptedBlock, SmCold, SmHot, SmState, SmStatus};
+use crate::framework::{KernelState, KsrIndex, Phase, PreemptedBlock, Preemption, Sm, SmStatus};
 use crate::launch::{KernelCompletion, KernelLaunch};
 use crate::preempt::{ContextSwitchCost, MechanismSelection, PreemptionMechanism};
 use gpreempt_sim::SimRng;
@@ -239,8 +243,7 @@ pub struct ExecutionEngine {
     preemption_cfg: PreemptionConfig,
     params: EngineParams,
     rng: SimRng,
-    sm_hot: Vec<SmHot>,
-    sm_cold: Vec<SmCold>,
+    sms: Vec<Sm>,
     ksrt: Vec<KsrSlot>,
     estimator: RemainingTimeEstimator,
     waiting_admission: VecDeque<KernelLaunch>,
@@ -268,8 +271,7 @@ impl ExecutionEngine {
             preemption_cfg,
             params,
             rng,
-            sm_hot: vec![SmHot::new(); n],
-            sm_cold: (0..n).map(|_| SmCold::new(max_blocks)).collect(),
+            sms: (0..n).map(|_| Sm::new(max_blocks)).collect(),
             ksrt: (0..n).map(|_| KsrSlot::new()).collect(),
             estimator: RemainingTimeEstimator::new(n),
             waiting_admission: VecDeque::new(),
@@ -281,7 +283,7 @@ impl ExecutionEngine {
     }
 
     /// Rewinds the engine to the state [`new`](Self::new) would produce for
-    /// these arguments, but keeps every allocation: the SMST arrays and
+    /// these arguments, but keeps every allocation: the SMST records and
     /// their residency-slot tables, the KSRT slab (including pooled PTBQ
     /// storage), the estimator slots and the drain buffers all retain their
     /// capacity. Pairs with `EventQueue::reset` so one engine services a
@@ -300,17 +302,11 @@ impl ExecutionEngine {
         self.preemption_cfg = preemption_cfg;
         self.params = params;
         self.rng = rng;
-        self.sm_hot.clear();
-        self.sm_hot.resize(n, SmHot::new());
-        if self.sm_cold.len() > n {
-            self.sm_cold.truncate(n);
+        self.sms.truncate(n);
+        for sm in &mut self.sms {
+            sm.reset(max_blocks);
         }
-        for cold in &mut self.sm_cold {
-            cold.reset(max_blocks);
-        }
-        while self.sm_cold.len() < n {
-            self.sm_cold.push(SmCold::new(max_blocks));
-        }
+        self.sms.resize_with(n, || Sm::new(max_blocks));
         if self.ksrt.len() > n {
             self.ksrt.truncate(n);
         }
@@ -364,8 +360,7 @@ impl ExecutionEngine {
     /// Panics if `sm` is out of range.
     pub fn sm(&self, sm: SmId) -> SmStatus<'_> {
         SmStatus {
-            hot: &self.sm_hot[sm.index()],
-            cold: &self.sm_cold[sm.index()],
+            sm: &self.sms[sm.index()],
         }
     }
 
@@ -373,7 +368,7 @@ impl ExecutionEngine {
     /// the SM Status Table — no allocation — so policies can scan it on
     /// every hook without heap traffic.
     pub fn idle_sms(&self) -> impl Iterator<Item = SmId> + '_ {
-        self.sm_hot
+        self.sms
             .iter()
             .enumerate()
             .filter(|(_, s)| s.is_idle())
@@ -411,7 +406,7 @@ impl ExecutionEngine {
     pub fn is_empty(&self) -> bool {
         self.ksrt.iter().all(|s| s.state.is_none())
             && self.waiting_admission.is_empty()
-            && self.sm_hot.iter().all(SmHot::is_idle)
+            && self.sms.iter().all(Sm::is_idle)
     }
 
     /// Aggregate counters.
@@ -536,25 +531,16 @@ impl ExecutionEngine {
     /// Returns `false` (and does nothing) if the SM is not idle or the
     /// kernel slot is empty or already finished.
     pub fn assign_sm(&mut self, now: SimTime, sm: SmId, ksr: KsrIndex) -> bool {
-        if !self.sm_hot[sm.index()].is_idle() {
-            return false;
-        }
         let usable = self
             .kernel(ksr)
-            .map(|k| !k.is_finished() && k.has_blocks_to_issue())
-            .unwrap_or(false);
-        if !usable {
+            .is_some_and(|k| !k.is_finished() && k.has_blocks_to_issue());
+        let s = &mut self.sms[sm.index()];
+        if !s.is_idle() || !usable {
             return false;
         }
-        let hot = &mut self.sm_hot[sm.index()];
-        hot.state = SmState::Running;
-        hot.current = Some(ksr);
-        hot.next = None;
-        let cold = &mut self.sm_cold[sm.index()];
-        cold.mechanism = None;
-        cold.setting_up = true;
-        cold.epoch += 1;
-        let epoch = cold.epoch;
+        s.phase = Phase::SettingUp;
+        s.kernel = Some(ksr);
+        let epoch = s.epoch;
         if let Some(k) = self.ksrt[ksr.index()].state.as_mut() {
             k.note_assigned();
             k.note_started(now);
@@ -564,8 +550,8 @@ impl ExecutionEngine {
             EngineEvent::SetupDone { sm, epoch },
         ));
         // Time-slicing support: the first quantum tick of this assignment.
-        // Subsequent ticks re-arm in `on_quantum_tick`; any preemption or
-        // release bumps the epoch and silences the chain.
+        // Subsequent ticks re-arm in `on_quantum_tick`; leaving the kernel
+        // or a context save bumps the epoch and silences the chain.
         if let Some(quantum) = self.params.quantum {
             self.scheduled
                 .push((now + quantum, EngineEvent::QuantumTick { sm, epoch }));
@@ -582,36 +568,24 @@ impl ExecutionEngine {
     /// Returns `false` (and does nothing) if the SM is not in the running
     /// state.
     pub fn preempt_sm(&mut self, now: SimTime, sm: SmId, next: KsrIndex) -> bool {
-        if self.sm_hot[sm.index()].state != SmState::Running {
-            return false;
-        }
-        if self.sm_cold[sm.index()].setting_up {
-            // The SM is still being set up for its current kernel; treat it
-            // like an immediate hand-over: cancel the setup and retarget.
-            let cold = &mut self.sm_cold[sm.index()];
-            cold.epoch += 1;
-            cold.setting_up = false;
-            let hot = &mut self.sm_hot[sm.index()];
-            let old = hot.current.take();
-            hot.state = SmState::Idle;
-            if let Some(old_ksr) = old {
-                if let Some(k) = self.ksrt[old_ksr.index()].state.as_mut() {
-                    k.note_unassigned();
-                }
+        match self.sms[sm.index()].phase {
+            Phase::SettingUp => {
+                // The SM is still being set up for its current kernel; treat
+                // it like an immediate hand-over: cancel the setup and
+                // retarget. That is a completed zero-latency preemption that
+                // no mechanism had to act on.
+                self.stats.preemptions += 1;
+                self.stats.preemptions_completed += 1;
+                self.vacate(now, sm);
+                self.hand_over(now, sm, Some(next));
+                return true;
             }
-            self.stats.preemptions += 1;
-            // The hand-over is instantaneous: a completed zero-latency
-            // preemption that no mechanism had to act on.
-            self.stats.preemptions_completed += 1;
-            let assigned = self.assign_sm(now, sm, next);
-            if !assigned {
-                self.hooks.push(PolicyHook::SmIdle(sm));
-            }
-            return true;
+            Phase::Running => {}
+            Phase::Idle | Phase::Preempting(_) => return false,
         }
         self.stats.preemptions += 1;
-        let mechanism = match self.preemption_cfg.selection {
-            MechanismSelection::Fixed(m) => m,
+        let (mechanism, estimate) = match self.preemption_cfg.selection {
+            MechanismSelection::Fixed(m) => (m, None),
             MechanismSelection::Adaptive { latency_target } => {
                 let estimate = self.estimate_preemption(now, sm);
                 let chosen = estimate.select(latency_target);
@@ -621,18 +595,19 @@ impl ExecutionEngine {
                 }
                 let est_latency = estimate.latency_of(chosen);
                 self.stats.adaptive_estimated_latency += est_latency;
-                self.sm_cold[sm.index()].estimated_latency = Some(est_latency);
-                chosen
+                (chosen, Some(est_latency))
             }
         };
-        self.sm_hot[sm.index()].state = SmState::Reserved;
-        self.sm_hot[sm.index()].next = Some(next);
-        let cold = &mut self.sm_cold[sm.index()];
-        cold.mechanism = Some(mechanism);
-        cold.preempted_at = Some(now);
+        let s = &mut self.sms[sm.index()];
+        s.phase = Phase::Preempting(Preemption {
+            mechanism,
+            next: Some(next),
+            requested_at: now,
+            estimate,
+        });
         match mechanism {
             PreemptionMechanism::Draining => {
-                if cold.resident.is_empty() {
+                if s.resident.is_empty() {
                     self.complete_preemption(now, sm);
                 }
                 // Otherwise resident blocks keep their completion events; the
@@ -644,29 +619,18 @@ impl ExecutionEngine {
                 // resident vector is drained in place so its capacity
                 // survives for the next residency (no per-preemption
                 // allocation).
-                cold.epoch += 1;
-                let epoch = cold.epoch;
-                cold.saving = true;
-                let current = self.sm_hot[sm.index()]
-                    .current
-                    .expect("running SM has a kernel");
-                let ExecutionEngine {
-                    gpu,
-                    preemption_cfg,
-                    sm_cold,
-                    ksrt,
-                    ..
-                } = self;
-                let cold = &mut sm_cold[sm.index()];
-                let kernel = ksrt[current.index()]
+                s.epoch += 1;
+                let epoch = s.epoch;
+                let current = s.kernel.expect("running SM has a kernel");
+                let kernel = self.ksrt[current.index()]
                     .state
                     .as_mut()
                     .expect("current kernel exists");
                 let footprint = kernel.launch().spec.footprint();
-                let n_saved = cold.resident.len() as u32;
-                let cost = ContextSwitchCost::new(gpu, preemption_cfg);
+                let n_saved = s.resident.len() as u32;
+                let cost = ContextSwitchCost::new(&self.gpu, &self.preemption_cfg);
                 let save_time = cost.save_time(&footprint, n_saved);
-                for rb in cold.resident.drain(..) {
+                for rb in s.resident.drain(..) {
                     let elapsed = now - rb.issued_at;
                     let remaining = rb.duration.saturating_sub(elapsed);
                     kernel.note_block_preempted(PreemptedBlock {
@@ -690,7 +654,8 @@ impl ExecutionEngine {
     /// the engine would make. Returns [`PreemptionEstimate::ZERO`] for an SM
     /// with no current kernel.
     pub fn estimate_preemption(&self, now: SimTime, sm: SmId) -> PreemptionEstimate {
-        let Some(ksr) = self.sm_hot[sm.index()].current else {
+        let s = &self.sms[sm.index()];
+        let Some(ksr) = s.kernel else {
             return PreemptionEstimate::ZERO;
         };
         let footprint = self.ksrt[ksr.index()]
@@ -704,32 +669,35 @@ impl ExecutionEngine {
         PreemptionEstimate::for_elapsed(
             &self.estimator,
             ksr.index(),
-            self.sm_cold[sm.index()]
-                .resident
-                .iter()
-                .map(|rb| now - rb.issued_at),
+            s.resident.iter().map(|rb| now - rb.issued_at),
             &cost,
             &footprint,
         )
     }
 
-    /// A read-only cost view over the engine at `now`, backed by the online
-    /// remaining-time estimator. Context-aware policies (GCAPS) use it to
-    /// weigh the cost of preempting each SM against the urgency of the
-    /// kernel that wants it, without reaching into the estimator themselves.
-    pub fn cost_view(&self, now: SimTime) -> PreemptionCostView<'_> {
-        PreemptionCostView { engine: self, now }
+    /// The latency the configured mechanism selection would pay to preempt
+    /// `sm` right now: the pinned mechanism's estimated latency under
+    /// [`MechanismSelection::Fixed`], or the latency of whichever mechanism
+    /// the adaptive selector would pick. Context-aware policies (GCAPS)
+    /// weigh it against the urgency of the kernel that wants the SM; it
+    /// comes from the same online estimates the engine acts on.
+    pub fn expected_preemption_latency(&self, now: SimTime, sm: SmId) -> SimTime {
+        let estimate = self.estimate_preemption(now, sm);
+        let mechanism = match self.preemption_cfg.selection {
+            MechanismSelection::Fixed(m) => m,
+            MechanismSelection::Adaptive { latency_target } => estimate.select(latency_target),
+        };
+        estimate.latency_of(mechanism)
     }
 
     /// Changes the kernel a reserved SM will be handed to once its
     /// preemption completes (§3.4 allows this to cope with long-latency
     /// preemptions). Returns `false` if the SM is not reserved.
     pub fn retarget_reservation(&mut self, sm: SmId, next: KsrIndex) -> bool {
-        let hot = &mut self.sm_hot[sm.index()];
-        if hot.state != SmState::Reserved {
+        let Phase::Preempting(p) = &mut self.sms[sm.index()].phase else {
             return false;
-        }
-        hot.next = Some(next);
+        };
+        p.next = Some(next);
         true
     }
 
@@ -754,12 +722,11 @@ impl ExecutionEngine {
     }
 
     fn on_quantum_tick(&mut self, now: SimTime, sm: SmId, epoch: u64) {
-        if self.sm_cold[sm.index()].epoch != epoch {
-            return;
-        }
-        // Quanta only matter while the SM is actually executing its kernel;
-        // reserved and idle SMs have nothing for a policy to rotate.
-        if self.sm_hot[sm.index()].state != SmState::Running {
+        // Quanta only matter while the SM is assigned to its kernel (being
+        // set up or running); preempting and idle SMs have nothing for a
+        // policy to rotate.
+        let s = &self.sms[sm.index()];
+        if s.epoch != epoch || !matches!(s.phase, Phase::SettingUp | Phase::Running) {
             return;
         }
         self.hooks.push(PolicyHook::QuantumExpired(sm));
@@ -790,10 +757,11 @@ impl ExecutionEngine {
     }
 
     fn on_setup_done(&mut self, now: SimTime, sm: SmId, epoch: u64) {
-        if self.sm_cold[sm.index()].epoch != epoch {
+        let s = &mut self.sms[sm.index()];
+        if s.epoch != epoch {
             return;
         }
-        self.sm_cold[sm.index()].setting_up = false;
+        s.phase = Phase::Running;
         self.issue_blocks(now, sm);
     }
 
@@ -805,14 +773,14 @@ impl ExecutionEngine {
         slot: u32,
         block: ThreadBlockId,
     ) {
-        let cold = &mut self.sm_cold[sm.index()];
+        let s = &mut self.sms[sm.index()];
         // A preemption that moved the SM's blocks away bumped the epoch, so
         // a current-epoch completion always finds its block in its slot.
-        if cold.epoch != epoch {
+        if s.epoch != epoch {
             return;
         }
-        let finished = cold.retire(slot, block);
-        let Some(ksr) = self.sm_hot[sm.index()].current else {
+        let finished = s.retire(slot, block);
+        let Some(ksr) = s.kernel else {
             return;
         };
         self.stats.blocks_completed += 1;
@@ -835,25 +803,18 @@ impl ExecutionEngine {
             self.finish_kernel(now, ksr);
             return;
         }
-        match self.sm_hot[sm.index()].state {
-            SmState::Running => {
-                self.issue_blocks(now, sm);
-            }
-            SmState::Reserved => {
-                if self.sm_cold[sm.index()].resident.is_empty() {
-                    self.complete_preemption(now, sm);
-                }
-            }
-            SmState::Idle => {}
+        let s = &self.sms[sm.index()];
+        match s.phase {
+            Phase::Running => self.issue_blocks(now, sm),
+            Phase::Preempting(_) if s.resident.is_empty() => self.complete_preemption(now, sm),
+            _ => {}
         }
     }
 
     fn on_save_done(&mut self, now: SimTime, sm: SmId, epoch: u64) {
-        if self.sm_cold[sm.index()].epoch != epoch {
-            return;
+        if self.sms[sm.index()].epoch == epoch {
+            self.complete_preemption(now, sm);
         }
-        self.sm_cold[sm.index()].saving = false;
-        self.complete_preemption(now, sm);
     }
 
     // ------------------------------------------------------------------
@@ -864,13 +825,10 @@ impl ExecutionEngine {
     /// or the kernel has nothing left to issue. Preempted blocks are issued
     /// before fresh ones.
     fn issue_blocks(&mut self, now: SimTime, sm: SmId) {
-        let Some(ksr) = self.sm_hot[sm.index()].current else {
+        let (Phase::Running, Some(ksr)) = (self.sms[sm.index()].phase, self.sms[sm.index()].kernel)
+        else {
             return;
         };
-        if self.sm_hot[sm.index()].state != SmState::Running || self.sm_cold[sm.index()].setting_up
-        {
-            return;
-        }
         // Blocks arriving from the PTBQ were saved by a context switch, so
         // they pay the restore penalty on re-issue regardless of how future
         // preemptions will be performed (draining never queues blocks). The
@@ -888,19 +846,19 @@ impl ExecutionEngine {
             let ExecutionEngine {
                 params,
                 rng,
-                sm_cold,
+                sms,
                 ksrt,
                 scheduled,
                 ..
             } = self;
-            let cold = &mut sm_cold[sm.index()];
+            let s = &mut sms[sm.index()];
             let kernel = ksrt[ksr.index()]
                 .state
                 .as_mut()
                 .expect("current kernel exists");
-            let epoch = cold.epoch;
+            let epoch = s.epoch;
             loop {
-                if cold.resident.len() as u32 >= blocks_per_sm {
+                if s.resident.len() as u32 >= blocks_per_sm {
                     break;
                 }
                 let Some((block, restored_remaining)) = kernel.take_next_block() else {
@@ -912,7 +870,7 @@ impl ExecutionEngine {
                     Some(remaining) => remaining + restore,
                     None => rng.jittered(mean_block_time, params.block_time_jitter),
                 };
-                let slot = cold.make_resident(block, now, duration, restored);
+                let slot = s.make_resident(block, now, duration, restored);
                 scheduled.push((
                     now + duration,
                     EngineEvent::BlockDone {
@@ -929,79 +887,52 @@ impl ExecutionEngine {
         }
         // Nothing left to issue: if the SM also has no resident blocks it
         // cannot contribute to this kernel any more and becomes idle.
-        if self.sm_cold[sm.index()].resident.is_empty() {
-            self.release_sm(sm);
-            self.hooks.push(PolicyHook::SmIdle(sm));
+        if self.sms[sm.index()].resident.is_empty() {
+            self.vacate(now, sm);
+            self.hand_over(now, sm, None);
         }
     }
 
-    /// Closes the latency accounting of a finishing preemption on one SM:
-    /// records the request-to-hand-over latency and, when the adaptive
-    /// selector made the decision, the estimate error.
-    fn note_preemption_complete(&mut self, now: SimTime, sm_index: usize) {
-        let cold = &mut self.sm_cold[sm_index];
-        let Some(started) = cold.preempted_at.take() else {
-            return;
+    /// Takes `sm` off its kernel; every way an SM leaves a kernel comes
+    /// here. Closes the latency accounting of an in-flight preemption
+    /// (and, when the adaptive selector made the decision, its estimate
+    /// error), unassigns the kernel if its KSRT entry still exists, and
+    /// bumps the epoch so every event the SM scheduled for the kernel goes
+    /// stale. Returns the kernel the SM was reserved for, if any.
+    fn vacate(&mut self, now: SimTime, sm: SmId) -> Option<KsrIndex> {
+        let s = &mut self.sms[sm.index()];
+        let phase = std::mem::replace(&mut s.phase, Phase::Idle);
+        let old = s.kernel.take();
+        s.epoch += 1;
+        if let Some(k) = old.and_then(|ksr| self.ksrt[ksr.index()].state.as_mut()) {
+            k.note_unassigned();
+        }
+        let Phase::Preempting(preemption) = phase else {
+            return None;
         };
-        let actual = now - started;
+        let actual = now - preemption.requested_at;
         self.stats.preemptions_completed += 1;
         self.stats.preemption_latency_total += actual;
-        if let Some(estimated) = cold.estimated_latency.take() {
-            let error = if estimated >= actual {
-                estimated - actual
-            } else {
-                actual - estimated
-            };
+        if let Some(estimated) = preemption.estimate {
             self.stats.adaptive_completed += 1;
-            self.stats.adaptive_latency_error += error;
+            self.stats.adaptive_latency_error += estimated.max(actual) - estimated.min(actual);
         }
+        preemption.next
     }
 
-    /// Finishes a preemption on `sm`: unassigns the old kernel and hands the
-    /// SM to the reserved kernel (or back to the idle pool).
-    fn complete_preemption(&mut self, now: SimTime, sm: SmId) {
-        self.note_preemption_complete(now, sm.index());
-        let next = {
-            let cold = &mut self.sm_cold[sm.index()];
-            cold.mechanism = None;
-            cold.saving = false;
-            let hot = &mut self.sm_hot[sm.index()];
-            let old = hot.current.take();
-            let next = hot.next.take();
-            hot.state = SmState::Idle;
-            if let Some(old_ksr) = old {
-                if let Some(k) = self.ksrt[old_ksr.index()].state.as_mut() {
-                    k.note_unassigned();
-                }
-            }
-            next
-        };
-        let assigned = match next {
-            Some(next_ksr) => self.assign_sm(now, sm, next_ksr),
-            None => false,
-        };
-        if !assigned {
+    /// Hands a vacated SM to `next`, or raises [`PolicyHook::SmIdle`] when
+    /// there is none or it cannot use the SM.
+    fn hand_over(&mut self, now: SimTime, sm: SmId, next: Option<KsrIndex>) {
+        if !next.is_some_and(|ksr| self.assign_sm(now, sm, ksr)) {
             self.hooks.push(PolicyHook::SmIdle(sm));
         }
     }
 
-    /// Marks the SM idle and unassigns it from its current kernel.
-    fn release_sm(&mut self, sm: SmId) {
-        let hot = &mut self.sm_hot[sm.index()];
-        let old = hot.current.take();
-        hot.state = SmState::Idle;
-        hot.next = None;
-        let cold = &mut self.sm_cold[sm.index()];
-        cold.mechanism = None;
-        cold.setting_up = false;
-        cold.saving = false;
-        cold.preempted_at = None;
-        cold.estimated_latency = None;
-        if let Some(old_ksr) = old {
-            if let Some(k) = self.ksrt[old_ksr.index()].state.as_mut() {
-                k.note_unassigned();
-            }
-        }
+    /// Finishes a preemption on `sm`: hands the SM to the reserved kernel
+    /// (or back to the idle pool).
+    fn complete_preemption(&mut self, now: SimTime, sm: SmId) {
+        let next = self.vacate(now, sm);
+        self.hand_over(now, sm, next);
     }
 
     /// Completes a kernel: frees its KSRT slot, releases every SM that was
@@ -1031,113 +962,27 @@ impl ExecutionEngine {
         });
         // Pool the kernel's PTBQ storage for the slot's next occupant.
         self.ksrt[ksr.index()].spare_ptbq = state.into_ptbq();
-        // Release SMs that were running this kernel (they have no resident
-        // blocks left) and fix up reservations that point at it.
-        for i in 0..self.sm_hot.len() {
-            let sm_id = SmId::new(i as u32);
-            let (is_current, is_reserved_for) = {
-                let h = &self.sm_hot[i];
-                (h.current == Some(ksr), h.next == Some(ksr))
-            };
-            if is_current {
-                match self.sm_hot[i].state {
-                    SmState::Running => {
-                        debug_assert!(self.sm_cold[i].resident.is_empty());
-                        // Invalidate any in-flight setup events.
-                        self.sm_cold[i].epoch += 1;
-                        self.sm_hot[i].current = None;
-                        self.sm_hot[i].state = SmState::Idle;
-                        self.sm_cold[i].setting_up = false;
-                        self.hooks.push(PolicyHook::SmIdle(sm_id));
-                    }
-                    SmState::Reserved => {
-                        // The kernel being preempted finished on its own; the
-                        // reservation resolves immediately.
-                        debug_assert!(self.sm_cold[i].resident.is_empty());
-                        self.note_preemption_complete(now, i);
-                        self.sm_cold[i].epoch += 1;
-                        self.sm_hot[i].current = None;
-                        self.sm_cold[i].saving = false;
-                        let next = self.sm_hot[i].next.take();
-                        self.sm_hot[i].state = SmState::Idle;
-                        self.sm_cold[i].mechanism = None;
-                        let assigned = match next {
-                            Some(n) if n != ksr => self.assign_sm(now, sm_id, n),
-                            _ => false,
-                        };
-                        if !assigned {
-                            self.hooks.push(PolicyHook::SmIdle(sm_id));
-                        }
-                    }
-                    SmState::Idle => {}
+        // Vacate the SMs that were running this kernel (they have no
+        // resident blocks left) or preempting it (the kernel finished on its
+        // own, so the reservation resolves now), and drop reservations that
+        // point at it: such an SM goes idle when its preemption completes.
+        for i in 0..self.sms.len() {
+            let s = &mut self.sms[i];
+            if s.kernel == Some(ksr) {
+                debug_assert!(s.resident.is_empty());
+                let sm = SmId::new(i as u32);
+                let next = self.vacate(now, sm);
+                self.hand_over(now, sm, next);
+            } else if let Phase::Preempting(p) = &mut s.phase {
+                if p.next == Some(ksr) {
+                    p.next = None;
                 }
-            } else if is_reserved_for {
-                // The kernel this SM was reserved for no longer exists; leave
-                // the preemption running but drop the target so the SM goes
-                // idle (and raises a hook) when the preemption completes.
-                self.sm_hot[i].next = None;
             }
         }
         // Admit a waiting kernel into the freed slot.
         if let Some(waiting) = self.waiting_admission.pop_front() {
             let admitted = self.admit(waiting, now);
             debug_assert!(admitted.is_some(), "a slot was just freed");
-        }
-    }
-}
-
-/// Per-SM preemption-cost estimates at one instant, as seen by a
-/// scheduling policy.
-///
-/// The view answers the question at the heart of context-aware
-/// preemptive scheduling: *what would it cost, right now, to take this
-/// SM away from its current kernel?* The estimates come from
-/// [`ExecutionEngine::estimate_preemption`] — the same numbers the
-/// adaptive mechanism selector acts on — so a policy that gates its
-/// preemptions on this view is consistent with what the engine will
-/// actually do.
-#[derive(Debug, Clone, Copy)]
-pub struct PreemptionCostView<'a> {
-    engine: &'a ExecutionEngine,
-    now: SimTime,
-}
-
-impl PreemptionCostView<'_> {
-    /// The instant the view was taken at.
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-
-    /// The raw cost estimate for preempting `sm` right now (drain
-    /// latency/work from the online estimator, context-save and
-    /// deferred-restore costs from the footprint model).
-    pub fn estimate(&self, sm: SmId) -> PreemptionEstimate {
-        self.engine.estimate_preemption(self.now, sm)
-    }
-
-    /// The latency the engine's *configured* mechanism selection would
-    /// pay to preempt `sm`: the pinned mechanism's estimated latency
-    /// under [`MechanismSelection::Fixed`], or the latency of whichever
-    /// mechanism the adaptive selector would pick.
-    pub fn expected_latency(&self, sm: SmId) -> SimTime {
-        let estimate = self.estimate(sm);
-        match self.engine.selection() {
-            MechanismSelection::Fixed(m) => estimate.latency_of(m),
-            MechanismSelection::Adaptive { latency_target } => {
-                estimate.latency_of(estimate.select(latency_target))
-            }
-        }
-    }
-
-    /// The total cost (latency plus deferred/off-critical-path work) the
-    /// configured selection would spend preempting `sm`.
-    pub fn expected_total_cost(&self, sm: SmId) -> SimTime {
-        let estimate = self.estimate(sm);
-        match self.engine.selection() {
-            MechanismSelection::Fixed(m) => estimate.total_cost_of(m),
-            MechanismSelection::Adaptive { latency_target } => {
-                estimate.total_cost_of(estimate.select(latency_target))
-            }
         }
     }
 }
@@ -1152,47 +997,38 @@ impl ExecutionEngine {
                 }
             }
         }
-        for i in 0..self.sm_hot.len() {
-            let hot = &self.sm_hot[i];
-            let cold = &self.sm_cold[i];
-            if let Some(ksr) = hot.current {
+        for (i, s) in self.sms.iter().enumerate() {
+            if let Some(ksr) = s.kernel {
                 if self.kernel(ksr).is_none() {
                     return Err(format!("SM{i} points at an empty or stale KSRT slot"));
                 }
             }
-            if hot.is_idle() && !cold.resident.is_empty() {
+            if s.is_idle() && !s.resident.is_empty() {
                 return Err(format!("SM{i} is idle but has resident blocks"));
             }
-            if hot.is_idle() && hot.current.is_some() {
-                return Err(format!("SM{i} is idle but owns a kernel"));
+            if s.is_idle() != s.kernel.is_none() {
+                return Err(format!(
+                    "SM{i} is {:?} with kernel {:?}: it must be idle exactly when it owns none",
+                    s.phase, s.kernel
+                ));
             }
-            if let Some(k) = hot.current.and_then(|ksr| self.kernel(ksr)) {
-                if cold.resident.len() > k.blocks_per_sm() as usize {
+            if let Some(k) = s.kernel.and_then(|ksr| self.kernel(ksr)) {
+                if s.resident.len() > k.blocks_per_sm() as usize {
                     return Err(format!(
                         "SM{i} holds {} resident blocks, more than its kernel's {} per SM",
-                        cold.resident.len(),
+                        s.resident.len(),
                         k.blocks_per_sm()
                     ));
                 }
             }
             self.check_slot_table(i)?;
-            // Per-preemption mechanism bookkeeping: exactly the reserved SMs
-            // carry an in-flight mechanism and a preemption start time.
-            if hot.state == SmState::Reserved
-                && (cold.mechanism.is_none() || cold.preempted_at.is_none())
-            {
-                return Err(format!("SM{i} is reserved without preemption bookkeeping"));
-            }
-            if hot.state != SmState::Reserved && cold.mechanism.is_some() {
-                return Err(format!("SM{i} carries a mechanism but is not reserved"));
-            }
         }
         for (i, slot) in self.ksrt.iter().enumerate() {
             if let Some(k) = &slot.state {
                 let assigned = self
-                    .sm_hot
+                    .sms
                     .iter()
-                    .filter(|h| h.current.map(KsrIndex::index) == Some(i))
+                    .filter(|s| s.kernel.map(KsrIndex::index) == Some(i))
                     .count() as u32;
                 if assigned != k.assigned_sms() {
                     return Err(format!(
@@ -1211,33 +1047,33 @@ impl ExecutionEngine {
     /// maps back to its index, and so the free stack past the resident
     /// blocks holds no live slot.
     fn check_slot_table(&self, i: usize) -> Result<(), String> {
-        let cold = &self.sm_cold[i];
+        let sm = &self.sms[i];
         let n_slots = self.gpu.max_blocks_per_sm as usize;
-        if cold.slots.len() != 2 * n_slots {
+        if sm.slots.len() != 2 * n_slots {
             return Err(format!(
                 "SM{i} has a slot table of {} entries for {n_slots} slots",
-                cold.slots.len()
+                sm.slots.len()
             ));
         }
-        if cold.resident.len() > n_slots {
+        if sm.resident.len() > n_slots {
             return Err(format!(
                 "SM{i} holds {} resident blocks in {n_slots} slots",
-                cold.resident.len()
+                sm.resident.len()
             ));
         }
         let mut listed = vec![false; n_slots];
         for index in 0..n_slots {
-            let slot = cold.slot_at(index);
+            let slot = sm.slot_at(index);
             if slot as usize >= n_slots || listed[slot as usize] {
                 return Err(format!(
                     "SM{i}: slot {slot} at index {index} is out of range or listed twice"
                 ));
             }
             listed[slot as usize] = true;
-            if cold.index_of(slot) != index {
+            if sm.index_of(slot) != index {
                 return Err(format!(
                     "SM{i}: slot {slot} maps to index {}, but sits at {index}",
-                    cold.index_of(slot)
+                    sm.index_of(slot)
                 ));
             }
         }

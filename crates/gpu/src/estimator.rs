@@ -178,16 +178,6 @@ impl PreemptionEstimate {
         }
     }
 
-    /// The estimated total cost of one mechanism, including work that is
-    /// merely deferred (restores) or spent off the critical path (drain
-    /// occupancy beyond the slowest block).
-    pub fn total_cost_of(self, mechanism: PreemptionMechanism) -> SimTime {
-        match mechanism {
-            PreemptionMechanism::ContextSwitch => self.cs_latency + self.cs_deferred_restore,
-            PreemptionMechanism::Draining => self.drain_work,
-        }
-    }
-
     /// Picks the mechanism for this preemption.
     ///
     /// Without a latency target the mechanism with the lower estimated

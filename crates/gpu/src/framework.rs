@@ -5,9 +5,9 @@
 //!
 //! * the **Kernel Status Register Table** (KSRT) — one [`KernelState`] per
 //!   active kernel, indexed by the generational [`KsrIndex`],
-//! * the **SM Status Table** (SMST) — per-SM state split into a hot
-//!   struct-of-arrays column (`SmHot`: the fields every scheduler scan
-//!   touches) and cold bookkeeping (`SmCold`), re-stitched into the
+//! * the **SM Status Table** (SMST) — one typed record per SM, whose phase
+//!   (idle, setting up, running, or preempting while reserved for a next
+//!   kernel) carries exactly the data that phase needs, read through the
 //!   public [`SmStatus`] view,
 //! * the **Preempted Thread Block Queues** (PTBQ) — per-kernel queues of
 //!   thread blocks that were context-switched out and wait to be re-issued.
@@ -293,40 +293,43 @@ pub struct ResidentBlock {
     pub restored: bool,
 }
 
-/// The hot column of the SM Status Table: the fields every scheduler scan
-/// (idle search, ownership count, victim selection) reads. Kept in its own
-/// dense array so those scans touch a few contiguous cache lines instead of
-/// striding over the cold bookkeeping.
+/// An in-flight preemption of one SM, from the request to the hand-over.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct SmHot {
-    pub(crate) state: SmState,
-    pub(crate) current: Option<KsrIndex>,
+pub(crate) struct Preemption {
+    pub(crate) mechanism: PreemptionMechanism,
+    /// The kernel the SM is reserved for; `None` once that kernel finished
+    /// elsewhere, so the SM goes idle when the preemption completes.
     pub(crate) next: Option<KsrIndex>,
+    /// When the preemption was requested (latency accounting).
+    pub(crate) requested_at: SimTime,
+    /// The engine's latency estimate, recorded only when the adaptive
+    /// selector made the decision.
+    pub(crate) estimate: Option<SimTime>,
 }
 
-impl SmHot {
-    pub(crate) fn new() -> Self {
-        SmHot {
-            state: SmState::Idle,
-            current: None,
-            next: None,
-        }
-    }
-
-    pub(crate) fn is_idle(&self) -> bool {
-        self.state == SmState::Idle
-    }
+/// What an SM is doing, carrying exactly the data each phase needs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Phase {
+    /// The SM has no kernel.
+    Idle,
+    /// The SM driver is setting the SM up for its kernel.
+    SettingUp,
+    /// The SM issues and executes its kernel's thread blocks.
+    Running,
+    /// The SM is reserved for another kernel while a preemption vacates it.
+    Preempting(Preemption),
 }
 
-/// The cold column of the SM Status Table: per-SM bookkeeping only touched
-/// when the SM itself acts (block issue/completion, preemption mechanics).
+/// One entry of the SM Status Table.
 ///
 /// Each resident block holds one of the SM's `max_blocks_per_sm` residency
 /// slots, and its `BlockDone` event carries the slot back, so a completion
 /// finds its block without a scan.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) struct SmCold {
-    pub(crate) mechanism: Option<PreemptionMechanism>,
+#[derive(Debug)]
+pub(crate) struct Sm {
+    pub(crate) phase: Phase,
+    /// The kernel the SM is assigned to: `Some` exactly when it is not idle.
+    pub(crate) kernel: Option<KsrIndex>,
     /// Resident blocks, in the order `push` and `swap_remove` leave them.
     /// A context-switch save moves them to the PTBQ in this order, and
     /// that order reaches the results.
@@ -338,31 +341,24 @@ pub(crate) struct SmCold {
     /// first. Its second half maps each slot back to its index. Emptying
     /// `resident` therefore frees every slot.
     pub(crate) slots: Vec<u32>,
+    /// Guards the events the SM schedules: it changes exactly when they
+    /// must be ignored (the SM leaves its kernel, or a context save
+    /// discards its resident blocks).
     pub(crate) epoch: u64,
-    pub(crate) setting_up: bool,
-    pub(crate) saving: bool,
-    /// When the in-flight preemption was requested (latency accounting).
-    pub(crate) preempted_at: Option<SimTime>,
-    /// The engine's latency estimate for the in-flight preemption, recorded
-    /// only when the adaptive selector made the decision.
-    pub(crate) estimated_latency: Option<SimTime>,
 }
 
-impl SmCold {
-    /// A fresh SM with `max_blocks` residency slots.
+impl Sm {
+    /// An idle SM with `max_blocks` residency slots.
     pub(crate) fn new(max_blocks: u32) -> Self {
-        let mut cold = SmCold {
-            mechanism: None,
+        let mut sm = Sm {
+            phase: Phase::Idle,
+            kernel: None,
             resident: Vec::new(),
             slots: Vec::new(),
             epoch: 0,
-            setting_up: false,
-            saving: false,
-            preempted_at: None,
-            estimated_latency: None,
         };
-        cold.reset(max_blocks);
-        cold
+        sm.reset(max_blocks);
+        sm
     }
 
     /// Rewinds to the freshly-constructed state with `max_blocks`
@@ -370,16 +366,17 @@ impl SmCold {
     /// reused engine allocates nothing per scenario. Both are sized for
     /// `max_blocks` blocks up front.
     pub(crate) fn reset(&mut self, max_blocks: u32) {
-        self.mechanism = None;
+        self.phase = Phase::Idle;
+        self.kernel = None;
         self.resident.clear();
         self.resident.reserve(max_blocks as usize);
         self.slots.clear();
         self.slots.extend((0..max_blocks).chain(0..max_blocks));
         self.epoch = 0;
-        self.setting_up = false;
-        self.saving = false;
-        self.preempted_at = None;
-        self.estimated_latency = None;
+    }
+
+    pub(crate) fn is_idle(&self) -> bool {
+        self.phase == Phase::Idle
     }
 
     /// Number of residency slots.
@@ -451,65 +448,75 @@ impl SmCold {
 }
 
 /// One entry of the SM Status Table, as seen by policies and tests: a
-/// read-only view stitching the hot scan column and the cold bookkeeping
-/// back together.
+/// read-only view of the SM's record.
 #[derive(Debug, Clone, Copy)]
 pub struct SmStatus<'a> {
-    pub(crate) hot: &'a SmHot,
-    pub(crate) cold: &'a SmCold,
+    pub(crate) sm: &'a Sm,
 }
 
 impl SmStatus<'_> {
     /// The SM's scheduling state.
     pub fn state(&self) -> SmState {
-        self.hot.state
+        match self.sm.phase {
+            Phase::Idle => SmState::Idle,
+            Phase::SettingUp | Phase::Running => SmState::Running,
+            Phase::Preempting(_) => SmState::Reserved,
+        }
     }
 
     /// The kernel currently owning the SM, if any.
     pub fn current_kernel(&self) -> Option<KsrIndex> {
-        self.hot.current
+        self.sm.kernel
+    }
+
+    /// The in-flight preemption, if any.
+    fn preemption(&self) -> Option<&Preemption> {
+        match &self.sm.phase {
+            Phase::Preempting(p) => Some(p),
+            _ => None,
+        }
     }
 
     /// The kernel the SM is reserved for, if a preemption is in flight.
     pub fn next_kernel(&self) -> Option<KsrIndex> {
-        self.hot.next
+        self.preemption().and_then(|p| p.next)
     }
 
     /// Number of thread blocks currently resident.
     pub fn resident_blocks(&self) -> usize {
-        self.cold.resident.len()
+        self.sm.resident.len()
     }
 
     /// Whether the SM is idle.
     pub fn is_idle(&self) -> bool {
-        self.hot.state == SmState::Idle
+        self.sm.is_idle()
     }
 
     /// Whether a preemption (of either mechanism) is in progress.
     pub fn is_preempting(&self) -> bool {
-        self.hot.state == SmState::Reserved
+        self.preemption().is_some()
     }
 
     /// The mechanism of the in-flight preemption, if one is in progress.
     /// Under adaptive selection this can differ from SM to SM.
     pub fn preempting_with(&self) -> Option<PreemptionMechanism> {
-        self.cold.mechanism
+        self.preemption().map(|p| p.mechanism)
     }
 
     /// When the in-flight preemption was requested, if one is in progress.
     pub fn preempted_at(&self) -> Option<SimTime> {
-        self.cold.preempted_at
+        self.preemption().map(|p| p.requested_at)
     }
 
     /// Whether the SM is being set up for a kernel (context transfer from
     /// the SM driver).
     pub fn is_setting_up(&self) -> bool {
-        self.cold.setting_up
+        self.sm.phase == Phase::SettingUp
     }
 
     /// Whether a context save is in progress.
     pub fn is_saving(&self) -> bool {
-        self.cold.saving
+        self.preempting_with() == Some(PreemptionMechanism::ContextSwitch)
     }
 }
 
@@ -613,12 +620,8 @@ mod tests {
 
     #[test]
     fn sm_status_defaults() {
-        let hot = SmHot::new();
-        let cold = SmCold::new(16);
-        let sm = SmStatus {
-            hot: &hot,
-            cold: &cold,
-        };
+        let record = Sm::new(16);
+        let sm = SmStatus { sm: &record };
         assert!(sm.is_idle());
         assert!(!sm.is_preempting());
         assert!(!sm.is_setting_up());
@@ -636,38 +639,35 @@ mod tests {
     /// slot is the next one handed out, and emptying `resident` frees all.
     #[test]
     fn retiring_by_slot_keeps_the_swap_remove_order() {
-        let mut cold = SmCold::new(4);
+        let mut sm = Sm::new(4);
         let mut reference = Vec::new();
         let mut slot_of = std::collections::HashMap::new();
         let us = SimTime::from_micros;
         for b in 0..4 {
             let block = ThreadBlockId::new(b);
-            slot_of.insert(
-                block,
-                cold.make_resident(block, us(b as u64), us(10), false),
-            );
+            slot_of.insert(block, sm.make_resident(block, us(b as u64), us(10), false));
             reference.push(block);
         }
         for (victim, fresh) in [(1, 4), (0, 5), (5, 6), (3, 7)] {
             let victim = ThreadBlockId::new(victim);
             let slot = slot_of[&victim];
-            assert_eq!(cold.retire(slot, victim).block, victim);
+            assert_eq!(sm.retire(slot, victim).block, victim);
             let index = reference.iter().position(|&b| b == victim).unwrap();
             reference.swap_remove(index);
-            let order: Vec<_> = cold.resident.iter().map(|rb| rb.block).collect();
+            let order: Vec<_> = sm.resident.iter().map(|rb| rb.block).collect();
             assert_eq!(order, reference);
             let fresh = ThreadBlockId::new(fresh);
-            let reused = cold.make_resident(fresh, us(9), us(10), true);
+            let reused = sm.make_resident(fresh, us(9), us(10), true);
             assert_eq!(reused, slot, "the freed slot is reused");
             slot_of.insert(fresh, reused);
             reference.push(fresh);
         }
-        for (index, rb) in cold.resident.iter().enumerate() {
-            assert_eq!(cold.slot_at(index), slot_of[&rb.block]);
-            assert_eq!(cold.index_of(slot_of[&rb.block]), index);
+        for (index, rb) in sm.resident.iter().enumerate() {
+            assert_eq!(sm.slot_at(index), slot_of[&rb.block]);
+            assert_eq!(sm.index_of(slot_of[&rb.block]), index);
         }
-        cold.resident.clear();
-        let mut free: Vec<u32> = (0..4).map(|i| cold.slot_at(i)).collect();
+        sm.resident.clear();
+        let mut free: Vec<u32> = (0..4).map(|i| sm.slot_at(i)).collect();
         free.sort_unstable();
         assert_eq!(free, [0, 1, 2, 3]);
     }

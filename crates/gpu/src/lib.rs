@@ -23,9 +23,7 @@ pub mod framework;
 pub mod launch;
 pub mod preempt;
 
-pub use engine::{
-    EngineEvent, EngineParams, EngineStats, ExecutionEngine, PolicyHook, PreemptionCostView,
-};
+pub use engine::{EngineEvent, EngineParams, EngineStats, ExecutionEngine, PolicyHook};
 pub use estimator::{PreemptionEstimate, RemainingTimeEstimator};
 pub use framework::{KernelState, KsrIndex, PreemptedBlock, ResidentBlock, SmState, SmStatus};
 pub use launch::{KernelCompletion, KernelLaunch, RtLaunch};

@@ -692,7 +692,7 @@ fn estimator_ignores_restored_partial_executions() {
 }
 
 // ---------------------------------------------------------------------------
-// Real-time subsystem: quantum ticks, deadline ticks, cost view
+// Real-time subsystem: quantum ticks, deadline ticks, preemption cost
 // ---------------------------------------------------------------------------
 
 /// A harness with a scheduling quantum configured.
@@ -758,6 +758,39 @@ fn quantum_ticks_stop_after_preemption_hand_over() {
             assert_eq!(*sm, SmId::new(0));
         }
     }
+}
+
+/// An SM that is still being set up counts as running, so its quantum
+/// ticks reach the policy too.
+#[test]
+fn quantum_ticks_reach_the_policy_while_the_sm_is_setting_up() {
+    let mut h = Harness::new(PreemptionMechanism::ContextSwitch);
+    h.engine = ExecutionEngine::new(
+        GpuConfig::default(),
+        PreemptionConfig::default(),
+        EngineParams {
+            sm_setup_time: SimTime::from_micros(10),
+            block_time_jitter: 0.0,
+            quantum: Some(SimTime::from_micros(4)),
+            ..Default::default()
+        },
+        SimRng::new(1),
+    );
+    let k = h.kernel(100, 50, 0);
+    h.submit(k);
+    let ksr = h.engine.active_kernels().next().unwrap();
+    assert!(h.assign(0, ksr));
+    // Ticks at 4us and 8us; the setup ends at 10us.
+    h.run_until(SimTime::from_micros(9));
+    let sm = h.engine.sm(SmId::new(0));
+    assert!(sm.is_setting_up());
+    assert_eq!(sm.state(), SmState::Running);
+    let ticks = h
+        .hooks
+        .iter()
+        .filter(|hk| matches!(hk, PolicyHook::QuantumExpired(_)))
+        .count();
+    assert_eq!(ticks, 2);
 }
 
 #[test]
@@ -834,7 +867,7 @@ fn deadline_tick_is_suppressed_for_finished_kernels() {
 }
 
 #[test]
-fn cost_view_matches_engine_estimates() {
+fn expected_preemption_latency_matches_engine_estimates() {
     let mut h = Harness::new(PreemptionMechanism::ContextSwitch);
     let k = h.kernel(2_000, 100, 0);
     h.submit(k);
@@ -842,25 +875,19 @@ fn cost_view_matches_engine_estimates() {
     h.assign_all_idle(ksr);
     h.run_until(SimTime::from_micros(40));
     let now = h.now();
-    let view = h.engine.cost_view(now);
-    assert_eq!(view.now(), now);
     let sm = SmId::new(0);
     let estimate = h.engine.estimate_preemption(now, sm);
-    assert_eq!(view.estimate(sm), estimate);
     // Under a fixed context-switch selection the expected latency is the
-    // save time and the total cost adds the deferred restores.
+    // save time.
+    let expected = h.engine.expected_preemption_latency(now, sm);
     assert_eq!(
-        view.expected_latency(sm),
+        expected,
         estimate.latency_of(PreemptionMechanism::ContextSwitch)
     );
-    assert_eq!(
-        view.expected_total_cost(sm),
-        estimate.total_cost_of(PreemptionMechanism::ContextSwitch)
-    );
-    assert!(view.expected_latency(sm) > SimTime::ZERO);
+    assert!(expected > SimTime::ZERO);
 
-    // Under adaptive selection the view reports the latency of whichever
-    // mechanism the selector would pick.
+    // Under adaptive selection it is the latency of whichever mechanism the
+    // selector would pick.
     let mut ha = Harness::with_selection(MechanismSelection::adaptive());
     let k = ha.kernel(2_000, 100, 0);
     ha.submit(k);
@@ -868,8 +895,10 @@ fn cost_view_matches_engine_estimates() {
     ha.assign_all_idle(ksr);
     ha.run_until(SimTime::from_micros(40));
     let now = ha.now();
-    let view = ha.engine.cost_view(now);
     let estimate = ha.engine.estimate_preemption(now, sm);
     let chosen = estimate.select(None);
-    assert_eq!(view.expected_latency(sm), estimate.latency_of(chosen));
+    assert_eq!(
+        ha.engine.expected_preemption_latency(now, sm),
+        estimate.latency_of(chosen)
+    );
 }

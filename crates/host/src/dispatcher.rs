@@ -77,15 +77,16 @@ impl CommandDispatcher {
 
     /// Notifies the dispatcher that an engine completed `command`; its queue
     /// is re-enabled and the next command (if any) becomes ready to issue.
-    /// Returns the newly issued command.
-    pub fn complete(&mut self, command: CommandId) -> Option<Command> {
+    /// Returns the process that owned `command` and the newly issued
+    /// command, or `None` if `command` was not in flight.
+    pub fn complete(&mut self, command: CommandId) -> Option<(ProcessId, Option<Command>)> {
         let key = self.in_flight_index.remove(&command)?;
         if let Some(queue) = self.queues.get_mut(&key) {
             if queue.in_flight == Some(command) {
                 queue.in_flight = None;
             }
         }
-        self.issue_from(key)
+        Some((key.0, self.issue_from(key)))
     }
 
     fn issue_from(&mut self, key: (ProcessId, StreamId)) -> Option<Command> {
@@ -149,9 +150,10 @@ mod tests {
         assert!(ready.is_none());
         assert_eq!(d.pending(), 1);
         assert_eq!(d.in_flight(), 1);
-        let ready = d.complete(CommandId::new(1));
+        let (owner, ready) = d.complete(CommandId::new(1)).unwrap();
+        assert_eq!(owner, ProcessId::new(0));
         assert_eq!(ready.unwrap().id, CommandId::new(2));
-        let ready = d.complete(CommandId::new(2));
+        let (_, ready) = d.complete(CommandId::new(2)).unwrap();
         assert!(ready.is_none());
         assert!(d.is_empty());
     }
@@ -184,7 +186,7 @@ mod tests {
         let mut next = 0;
         while !d.is_empty() {
             assert_eq!(issued.last().unwrap().id, CommandId::new(next));
-            let more = d.complete(CommandId::new(next));
+            let (_, more) = d.complete(CommandId::new(next)).unwrap();
             issued.extend(more);
             next += 1;
         }

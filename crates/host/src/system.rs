@@ -9,7 +9,6 @@ use gpreempt_types::{
     AdmissionDecision, ArrivalProcess, CommandId, PcieConfig, Priority, ProcessId, SimTime,
     StreamId,
 };
-use std::collections::HashMap;
 
 /// Events the host model schedules for itself; the simulator owns the event
 /// queue and must deliver each back via [`HostSystem::handle`].
@@ -31,15 +30,6 @@ pub enum HostEvent {
     Release {
         /// The releasing process.
         process: ProcessId,
-    },
-    /// A deferred admission retry ([`AdmissionDecision::Defer`]): re-raises
-    /// the release request *without* advancing the release-timer chain.
-    ReleaseRetry {
-        /// The releasing process.
-        process: ProcessId,
-        /// The original release time (kept so response-time accounting
-        /// charges the deferral delay to the request).
-        released: SimTime,
     },
 }
 
@@ -77,7 +67,6 @@ pub struct HostSystem {
     processes: Vec<ProcessModel>,
     dispatcher: CommandDispatcher,
     transfer: TransferEngine,
-    command_owner: HashMap<CommandId, ProcessId>,
     next_command: u64,
     scheduled: Vec<(SimTime, HostEvent)>,
     launches: Vec<LaunchRequest>,
@@ -116,7 +105,6 @@ impl HostSystem {
             processes,
             dispatcher: CommandDispatcher::new(),
             transfer: TransferEngine::new(pcie, transfer_policy),
-            command_owner: HashMap::new(),
             next_command: 0,
             scheduled: Vec::new(),
             launches: Vec::new(),
@@ -187,7 +175,6 @@ impl HostSystem {
         }
         self.dispatcher.reset();
         self.transfer.reset(pcie, transfer_policy);
-        self.command_owner.clear();
         self.next_command = 0;
         self.scheduled.clear();
         self.launches.clear();
@@ -355,21 +342,6 @@ impl HostSystem {
                 }
             }
             AdmissionDecision::Shed => self.processes[pid.index()].note_shed(),
-            AdmissionDecision::Defer(delay) => {
-                if delay.is_zero() {
-                    // A zero deferral would respin the same request at the
-                    // same timestamp forever; treat it as shedding.
-                    self.processes[pid.index()].note_shed();
-                } else {
-                    self.scheduled.push((
-                        now + delay,
-                        HostEvent::ReleaseRetry {
-                            process: pid,
-                            released: req.released,
-                        },
-                    ));
-                }
-            }
         }
     }
 
@@ -404,10 +376,6 @@ impl HostSystem {
                 });
                 self.schedule_next_release(now, process);
             }
-            HostEvent::ReleaseRetry { process, released } => {
-                self.release_requests
-                    .push(ReleaseRequest { process, released });
-            }
         }
     }
 
@@ -418,12 +386,12 @@ impl HostSystem {
     }
 
     fn command_completed(&mut self, now: SimTime, command: CommandId) {
-        if let Some(ready) = self.dispatcher.complete(command) {
-            self.issue(now, ready);
-        }
-        let Some(owner) = self.command_owner.remove(&command) else {
+        let Some((owner, ready)) = self.dispatcher.complete(command) else {
             return;
         };
+        if let Some(ready) = ready {
+            self.issue(now, ready);
+        }
         let unblocked = {
             let p = &mut self.processes[owner.index()];
             p.note_command_completed(command);
@@ -514,7 +482,6 @@ impl HostSystem {
     fn new_command(&mut self, pid: ProcessId) -> CommandId {
         let id = CommandId::new(self.next_command);
         self.next_command += 1;
-        self.command_owner.insert(id, pid);
         self.processes[pid.index()].note_command_issued(id);
         id
     }
@@ -809,50 +776,6 @@ mod tests {
         assert!(stats.shed >= 2, "cap 1 under overload must shed repeatedly");
         assert!(stats.max_depth <= 1);
         assert_eq!(stats.released, stats.admitted + stats.shed);
-    }
-
-    #[test]
-    fn deferred_release_retries_with_its_original_release_time() {
-        let spec = ProcessSpec::new(toy_trace(10, 0, 1)).with_arrival(ArrivalProcess::Periodic {
-            period: SimTime::from_micros(50),
-        });
-        let w = Workload::new("defer", vec![spec]).with_min_completions(1);
-        let mut host = HostSystem::new(&w, PcieConfig::default(), TransferPolicy::Fcfs);
-        host.start(SimTime::ZERO);
-        // Fire the first timer release directly.
-        host.handle(
-            SimTime::from_micros(50),
-            HostEvent::Release {
-                process: ProcessId::new(0),
-            },
-        );
-        let mut releases = Vec::new();
-        host.drain_release_requests_into(&mut releases);
-        assert_eq!(releases.len(), 1);
-        assert_eq!(releases[0].released, SimTime::from_micros(50));
-        // Defer it 10us: the retry must carry the original release time so
-        // the deferral delay is charged to the request's response time.
-        host.resolve_release(
-            SimTime::from_micros(50),
-            releases[0],
-            AdmissionDecision::Defer(SimTime::from_micros(10)),
-        );
-        let mut sched = Vec::new();
-        host.drain_scheduled_into(&mut sched);
-        let (at, retry) = sched
-            .iter()
-            .find(|(_, e)| matches!(e, HostEvent::ReleaseRetry { .. }))
-            .expect("a retry must be scheduled");
-        assert_eq!(*at, SimTime::from_micros(60));
-        host.handle(*at, *retry);
-        releases.clear();
-        host.drain_release_requests_into(&mut releases);
-        assert_eq!(releases.len(), 1);
-        assert_eq!(
-            releases[0].released,
-            SimTime::from_micros(50),
-            "the retry keeps the original release stamp"
-        );
     }
 
     #[test]

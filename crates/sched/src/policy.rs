@@ -91,9 +91,8 @@ pub trait SchedulingPolicy: std::fmt::Debug {
 
     /// Called when an open-arrival release requests admission: `backlog` is
     /// the process's current queue of released-but-not-started iterations
-    /// and `backlog_cap` its hard bound. The policy may admit the release,
-    /// shed it, or defer the decision ([`AdmissionDecision::Defer`]) under
-    /// transient overload.
+    /// and `backlog_cap` its hard bound. The policy admits the release or
+    /// sheds it.
     ///
     /// Default-implemented as deadline-aware bounded queueing: a release
     /// whose absolute deadline is already infeasible given the iteration's

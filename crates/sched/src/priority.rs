@@ -16,9 +16,9 @@
 //!   — is exclusive PPQ that ranks by priority, then earliest absolute
 //!   deadline, so a kernel may also preempt an equal-priority kernel whose
 //!   deadline is strictly later. Such a deadline race goes ahead only when
-//!   the engine's [`PreemptionCostView`](gpreempt_gpu::PreemptionCostView)
-//!   (the online estimates the adaptive mechanism selector acts on) expects
-//!   the hand-over to complete inside the waiter's remaining slack.
+//!   [`ExecutionEngine::expected_preemption_latency`] (from the online
+//!   estimates the adaptive mechanism selector acts on) expects the
+//!   hand-over to complete inside the waiter's remaining slack.
 //!   Priority preemptions are never slack-gated, so a kernel that has
 //!   slipped past its deadline still outranks lower-priority work. With no
 //!   deadlines every urgency's deadline part is equal, so GCAPS makes
@@ -192,7 +192,7 @@ impl PriorityPolicy {
                     && victim.0 == waiter.0
                     && kernel
                         .slack(now)
-                        .is_some_and(|slack| engine.cost_view(now).expected_latency(sm) > slack)
+                        .is_some_and(|slack| engine.expected_preemption_latency(now, sm) > slack)
                 {
                     break;
                 }

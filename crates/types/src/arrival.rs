@@ -148,10 +148,6 @@ pub enum AdmissionDecision {
     Admit,
     /// Drop the release (load shedding); it is counted but never runs.
     Shed,
-    /// Retry admission after the given delay (bounded deferral under
-    /// transient overload). A zero delay is treated as [`Self::Shed`] to
-    /// guarantee progress.
-    Defer(SimTime),
 }
 
 #[cfg(test)]
@@ -213,9 +209,6 @@ mod tests {
     fn zero_defer_is_documented_as_shed() {
         // The enum itself carries no behaviour; this pins the variants'
         // equality semantics used by the host's resolution path.
-        assert_eq!(AdmissionDecision::Defer(SimTime::ZERO).clone(), {
-            AdmissionDecision::Defer(SimTime::ZERO)
-        });
         assert_ne!(AdmissionDecision::Admit, AdmissionDecision::Shed);
     }
 }
