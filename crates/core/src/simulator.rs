@@ -44,20 +44,16 @@ struct DrainScratch {
     min_service: Vec<SimTime>,
 }
 
-/// The reusable arena of one simulation worker: host model, execution
-/// engine, event queue and drain scratch.
+/// The buffers one simulation worker carries from run to run: the event
+/// queue and the drain scratch.
 ///
 /// Construct one workspace per worker (or thread) and pass it to
-/// [`Simulator::run_with`] for every scenario of that worker's stream: the
-/// first run builds the components and every later run `reset`s them in
-/// place, reusing the process models, dispatcher queues, KSRT slab, per-SM
-/// state, event heap and scratch vectors the previous scenarios grew.
-/// Results are byte-identical to the rebuild-per-run
-/// [`Simulator::run`] path; only the allocation behaviour differs.
+/// [`Simulator::run_with`] for every scenario of that worker's stream. Each
+/// run resets the queue and clears the scratch but keeps their capacity;
+/// the host and the engine are built fresh for every run. Results are
+/// byte-identical to [`Simulator::run`], which uses a new workspace.
 #[derive(Debug, Default)]
 pub struct SimWorkspace {
-    host: Option<HostSystem>,
-    engine: Option<ExecutionEngine>,
     queue: EventQueue<Event>,
     scratch: DrainScratch,
     /// Same-timestamp cohort popped by `EventQueue::pop_batch_into`; lives
@@ -298,10 +294,10 @@ impl Simulator {
     }
 
     /// Simulates `workload` under `policy` like [`run`](Self::run), reusing
-    /// the caller's [`SimWorkspace`] instead of constructing the host,
-    /// engine and event queue from scratch. Drive a worker's whole scenario
-    /// stream through one workspace to keep steady-state scenario turnover
-    /// allocation-flat; the result is byte-identical to [`run`](Self::run).
+    /// the event queue and drain scratch of the caller's [`SimWorkspace`]
+    /// instead of allocating them anew. Drive a worker's whole scenario
+    /// stream through one workspace; the result is byte-identical to
+    /// [`run`](Self::run).
     ///
     /// # Errors
     ///
@@ -367,25 +363,8 @@ impl Simulator {
             .config
             .transfer_policy
             .unwrap_or_else(|| policy.transfer_policy());
-        // Reinitialise the workspace's host in place when it has one (the
-        // reset is observationally identical to a fresh construction but
-        // reuses the process models, dispatcher queues and drain buffers);
-        // build it on the first run.
-        let host = match ws.host.as_mut() {
-            Some(host) => {
-                host.reset(
-                    workload,
-                    self.config.machine.pcie.clone(),
-                    transfer_policy,
-                    self.config.seed,
-                );
-                host
-            }
-            None => ws.host.insert(
-                HostSystem::new(workload, self.config.machine.pcie.clone(), transfer_policy)
-                    .with_seed(self.config.seed),
-            ),
-        };
+        let mut host = HostSystem::new(workload, self.config.machine.pcie.clone(), transfer_policy)
+            .with_seed(self.config.seed);
         // Time-slicing policies need a quantum; when the configuration does
         // not set one explicitly, arm the policy's default. Every other
         // policy leaves it `None`, so no quantum events exist and legacy
@@ -394,23 +373,12 @@ impl Simulator {
         if engine_params.quantum.is_none() {
             engine_params.quantum = policy.default_quantum();
         }
-        let engine = match ws.engine.as_mut() {
-            Some(engine) => {
-                engine.reset(
-                    self.config.machine.gpu.clone(),
-                    self.config.machine.preemption,
-                    engine_params,
-                    gpreempt_sim::SimRng::new(self.config.seed),
-                );
-                engine
-            }
-            None => ws.engine.insert(ExecutionEngine::new(
-                self.config.machine.gpu.clone(),
-                self.config.machine.preemption,
-                engine_params,
-                gpreempt_sim::SimRng::new(self.config.seed),
-            )),
-        };
+        let mut engine = ExecutionEngine::new(
+            self.config.machine.gpu.clone(),
+            self.config.machine.preemption,
+            engine_params,
+            gpreempt_sim::SimRng::new(self.config.seed),
+        );
         let mut policy_impl: Box<dyn SchedulingPolicy> =
             policy.build(workload, self.config.machine.gpu.n_sms);
         // Pre-size the event queue from the replay target so steady-state
@@ -444,8 +412,8 @@ impl Simulator {
         // zero-target run terminates immediately).
         let mut completions_dirty = true;
         Self::drain(
-            host,
-            engine,
+            &mut host,
+            &mut engine,
             policy_impl.as_mut(),
             queue,
             workload,
@@ -523,8 +491,8 @@ impl Simulator {
                 // that actually emitted something.
                 if host.has_pending_outputs() || engine.has_pending_outputs() {
                     completions_dirty |= Self::drain(
-                        host,
-                        engine,
+                        &mut host,
+                        &mut engine,
                         policy_impl.as_mut(),
                         queue,
                         workload,

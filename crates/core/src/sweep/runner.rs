@@ -35,9 +35,10 @@ pub type ScenarioTap<'a, T> = dyn Fn(&Scenario, &T) -> Result<(), SimError> + Sy
 /// `jobs = N` bit-identical to `jobs = 1` — and to the historical
 /// hand-rolled sequential harness loops.
 ///
-/// Each worker keeps one [`SimWorkspace`] arena for its whole scenario
-/// stream; reset is observationally a fresh construction, so reuse changes
-/// allocation traffic and wall clock, never results.
+/// Each worker keeps one [`SimWorkspace`] for its whole scenario stream:
+/// its event queue and drain scratch keep their capacity from one scenario
+/// to the next, while every scenario builds its own host and engine, so
+/// reuse changes allocation traffic, never results.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SweepRunner {
     jobs: usize,
@@ -168,9 +169,9 @@ impl SweepRunner {
                         let failed = &failed;
                         scope.spawn(move || {
                             let mut local = Vec::new();
-                            // One arena per worker: every scenario this
-                            // worker pulls reuses the same host/engine/queue
-                            // allocations. Scenarios are self-contained, so
+                            // One workspace per worker: every scenario this
+                            // worker pulls reuses the same event queue and
+                            // drain scratch. Scenarios are self-contained, so
                             // reuse cannot leak state between them (the
                             // jobs=N ≡ jobs=1 regression pins this). The
                             // intern table is per-worker for the same
@@ -246,11 +247,12 @@ impl SweepRunner {
     }
 
     /// Runs one scenario — the plan's base configuration plus the
-    /// scenario's overrides, simulated through the worker's reusable
-    /// [`SimWorkspace`] arena — folds the finished run (dropping its body),
-    /// and hands the fold output to the tap. Allocation counts are the
-    /// worker thread's delta across intern + simulate + fold + tap (zero
-    /// unless the process installed [`gpreempt_sim::CountingAlloc`]).
+    /// scenario's overrides, simulated on a fresh host and engine with the
+    /// worker's [`SimWorkspace`] queue and scratch — folds the finished run
+    /// (dropping its body), and hands the fold output to the tap.
+    /// Allocation counts are the worker thread's delta across intern +
+    /// simulate + fold + tap (zero unless the process installed
+    /// [`gpreempt_sim::CountingAlloc`]).
     ///
     /// A panic anywhere in those steps becomes a [`SimError`] naming the
     /// scenario's id, group, label and seed, so it is reported like any
@@ -526,7 +528,7 @@ mod tests {
     use crate::sweep::Scenario;
     use gpreempt_gpu::{MechanismSelection, PreemptionMechanism};
     use gpreempt_trace::{parboil, ProcessSpec, Workload};
-    use gpreempt_types::{GpuConfig, SimTime};
+    use gpreempt_types::{ArrivalProcess, GpuConfig, RtSpec, SimTime};
 
     fn tiny_plan(n: usize) -> SweepPlan {
         let gpu = GpuConfig::default();
@@ -628,42 +630,89 @@ mod tests {
         assert_eq!(SweepRunner::chunk_size(10_000, 2), 32);
     }
 
-    /// Workspace reuse is observationally a fresh construction: every
-    /// scenario of a two-worker sweep, each worker reusing one workspace,
-    /// matches the same scenario simulated by `Simulator::run` on a fresh
-    /// workspace.
+    /// Workspace reuse is observationally a fresh construction, also after
+    /// a run that stopped early. A horizon-capped open-arrival scenario
+    /// stops at its horizon with events still pending; a deadline scenario
+    /// and the closed-loop DSS ones follow it. Under one worker (one
+    /// workspace serves them all, in plan order) and under two, every
+    /// scenario matches the same scenario simulated on a fresh workspace.
     #[test]
     fn rebuild_results_match_reuse() {
-        let plan = tiny_plan(4);
-        let reuse = SweepRunner::new(2)
-            .run_fold_tap(
-                &plan,
-                &|_, run| {
-                    Ok((
-                        run.events_processed(),
-                        run.end_time(),
-                        run.iterations().to_vec(),
-                    ))
-                },
-                &|_, _| Ok(()),
+        let gpu = GpuConfig::default();
+        let spmv = parboil::benchmark("spmv", &gpu).unwrap();
+        let horizon = SimTime::from_millis(5);
+        let mut plan = SweepPlan::new(SimulatorConfig::default());
+        let open = (0..2)
+            .map(|_| {
+                ProcessSpec::new(spmv.clone())
+                    .with_arrival(ArrivalProcess::Poisson {
+                        mean_gap: SimTime::from_micros(1_500),
+                    })
+                    .with_backlog_cap(4)
+            })
+            .collect();
+        plan.push(
+            Scenario::new(
+                "test",
+                "open",
+                Workload::new("open", open).with_min_completions(u32::MAX),
+                PolicyKind::RoundRobin,
             )
-            .unwrap();
-        for (outcome, scenario) in reuse.outcomes().iter().zip(plan.scenarios()) {
-            let config = plan
-                .config()
-                .clone()
-                .with_selection(scenario.selection.unwrap());
-            let rebuild = Simulator::new(config)
-                .run(&scenario.workload, scenario.policy)
+            .with_horizon(horizon),
+        );
+        let deadline = vec![
+            ProcessSpec::new(spmv.clone()).with_rt(RtSpec::implicit(SimTime::from_millis(4))),
+            ProcessSpec::new(spmv),
+        ];
+        plan.push(Scenario::new(
+            "test",
+            "deadline",
+            Workload::new("deadline", deadline).with_min_completions(1),
+            PolicyKind::Edf,
+        ));
+        for scenario in tiny_plan(4).scenarios() {
+            plan.push(scenario.clone());
+        }
+
+        for runner in [SweepRunner::sequential(), SweepRunner::new(2)] {
+            let reuse = runner
+                .run_fold_tap(
+                    &plan,
+                    &|_, run| {
+                        Ok((
+                            run.events_processed(),
+                            run.end_time(),
+                            run.iterations().to_vec(),
+                            run.engine_stats(),
+                            run.arrival_stats().to_vec(),
+                        ))
+                    },
+                    &|_, _| Ok(()),
+                )
                 .unwrap();
-            let (events, end_time, iterations) = &outcome.value;
-            assert_eq!(
-                (*events, *end_time),
-                (rebuild.events_processed(), rebuild.end_time()),
-                "scenario {}",
-                scenario.id
-            );
-            assert_eq!(iterations.as_slice(), rebuild.iterations());
+            assert_eq!(reuse.outcomes()[0].value.1, horizon);
+            for (outcome, scenario) in reuse.outcomes().iter().zip(plan.scenarios()) {
+                let mut config = plan.config().clone();
+                if let Some(selection) = scenario.selection {
+                    config = config.with_selection(selection);
+                }
+                let sim = Simulator::new(config);
+                let fresh = match scenario.horizon {
+                    Some(h) => sim.run_until(&scenario.workload, scenario.policy, h),
+                    None => sim.run(&scenario.workload, scenario.policy),
+                }
+                .unwrap();
+                let (events, end_time, iterations, engine_stats, arrival_stats) = &outcome.value;
+                let label = format!("{} workers, scenario {}", runner.jobs(), scenario.label);
+                assert_eq!(
+                    (*events, *end_time),
+                    (fresh.events_processed(), fresh.end_time()),
+                    "{label}"
+                );
+                assert_eq!(iterations.as_slice(), fresh.iterations(), "{label}");
+                assert_eq!(*engine_stats, fresh.engine_stats(), "{label}");
+                assert_eq!(arrival_stats.as_slice(), fresh.arrival_stats(), "{label}");
+            }
         }
     }
 

@@ -3,8 +3,8 @@
 //! Runs every registered experiment in registry order through one driver
 //! over one shared isolated-run cache — the combined report `run_sweep
 //! --experiment all --format json` emits — at a trimmed quick scale, and
-//! pins its bytes. Whole-engine workspace reuse, parallel execution,
-//! sharding and every future refactor must reproduce this file bit for bit;
+//! pins its bytes. Workspace reuse, parallel execution, sharding and
+//! every future refactor must reproduce this file bit for bit;
 //! an *intentional* output change regenerates it with:
 //!
 //! ```text

@@ -7,12 +7,12 @@
 //! asked to have scheduled, and dispatches the [`PolicyHook`]s the engine
 //! raises to whatever scheduling policy is plugged in.
 //!
-//! All hot state lives in slab/arena storage sized by the SM count: the
-//! KSRT is a generational slab (stale [`KsrIndex`] handles can never alias
-//! a reused slot), the SMST holds one typed record per SM whose phase
-//! carries exactly the data that phase needs, and
-//! [`reset`](ExecutionEngine::reset) rewinds everything without freeing, so
-//! one engine allocation can service an entire scenario stream.
+//! All hot state lives in slab storage sized by the SM count when the
+//! engine is built: the KSRT is a generational slab (stale [`KsrIndex`]
+//! handles can never alias a reused slot) whose slots pool their PTBQ
+//! storage across the kernels they hold, and the SMST holds one typed
+//! record per SM whose phase carries exactly the data that phase needs.
+//! One engine serves one run; the simulator builds a fresh one per run.
 //!
 //! Every way an SM leaves its kernel (its kernel runs out of blocks or
 //! finishes, a preemption completes, a setup is cut short) goes through
@@ -282,13 +282,11 @@ impl ExecutionEngine {
         }
     }
 
-    /// Rewinds the engine to the state [`new`](Self::new) would produce for
-    /// these arguments, but keeps every allocation: the SMST records and
-    /// their residency-slot tables, the KSRT slab (including pooled PTBQ
-    /// storage), the estimator slots and the drain buffers all retain their
-    /// capacity. Pairs with `EventQueue::reset` so one engine services a
-    /// whole scenario stream with no per-scenario churn. Slot generations restart at zero, so a
-    /// reused engine is observationally identical to a fresh one.
+    /// Replaces the engine with
+    /// `ExecutionEngine::new(gpu, preemption_cfg, params, rng)`. The
+    /// simulator builds its engine with `new`; this stays because the
+    /// benchmark's replay of the event loop (`perfbench/src/replay.rs`)
+    /// calls it.
     pub fn reset(
         &mut self,
         gpu: GpuConfig,
@@ -296,36 +294,7 @@ impl ExecutionEngine {
         params: EngineParams,
         rng: SimRng,
     ) {
-        let n = gpu.n_sms as usize;
-        let max_blocks = gpu.max_blocks_per_sm;
-        self.gpu = gpu;
-        self.preemption_cfg = preemption_cfg;
-        self.params = params;
-        self.rng = rng;
-        self.sms.truncate(n);
-        for sm in &mut self.sms {
-            sm.reset(max_blocks);
-        }
-        self.sms.resize_with(n, || Sm::new(max_blocks));
-        if self.ksrt.len() > n {
-            self.ksrt.truncate(n);
-        }
-        for slot in &mut self.ksrt {
-            slot.gen = 0;
-            slot.restore = SimTime::ZERO;
-            if let Some(state) = slot.state.take() {
-                slot.spare_ptbq = state.into_ptbq();
-            }
-        }
-        while self.ksrt.len() < n {
-            self.ksrt.push(KsrSlot::new());
-        }
-        self.estimator.reset(n);
-        self.waiting_admission.clear();
-        self.scheduled.clear();
-        self.completions.clear();
-        self.hooks.clear();
-        self.stats = EngineStats::default();
+        *self = Self::new(gpu, preemption_cfg, params, rng);
     }
 
     /// The GPU configuration the engine was built with.

@@ -49,14 +49,6 @@ impl RemainingTimeEstimator {
         }
     }
 
-    /// Rewinds every slot to the freshly-constructed state, keeping (and if
-    /// necessary growing) the slot storage so a reused engine allocates
-    /// nothing per scenario.
-    pub fn reset(&mut self, n_slots: usize) {
-        self.slots.clear();
-        self.slots.resize(n_slots, SlotEstimate::default());
-    }
-
     /// Re-seeds a slot for a newly admitted kernel: the prior is the
     /// kernel's declared mean block time, with no observations yet.
     pub fn reset_slot(&mut self, slot: usize, prior: SimTime) {

@@ -335,11 +335,11 @@ pub(crate) struct Sm {
     /// that order reaches the results.
     pub(crate) resident: Vec<ResidentBlock>,
     /// The residency-slot table: a sparse set over the slots, in one
-    /// allocation sized in `new` and `reset`. Its first half lists the
-    /// slots by index: index `i` holds the slot of `resident[i]`, and the
-    /// indices from `resident.len()` on form the free-slot stack, top
-    /// first. Its second half maps each slot back to its index. Emptying
-    /// `resident` therefore frees every slot.
+    /// allocation sized in `new`. Its first half lists the slots by index:
+    /// index `i` holds the slot of `resident[i]`, and the indices from
+    /// `resident.len()` on form the free-slot stack, top first. Its second
+    /// half maps each slot back to its index. Emptying `resident`
+    /// therefore frees every slot.
     pub(crate) slots: Vec<u32>,
     /// Guards the events the SM schedules: it changes exactly when they
     /// must be ignored (the SM leaves its kernel, or a context save
@@ -348,31 +348,16 @@ pub(crate) struct Sm {
 }
 
 impl Sm {
-    /// An idle SM with `max_blocks` residency slots.
+    /// An idle SM with `max_blocks` residency slots. The resident-block
+    /// and slot storage is sized for `max_blocks` blocks up front.
     pub(crate) fn new(max_blocks: u32) -> Self {
-        let mut sm = Sm {
+        Sm {
             phase: Phase::Idle,
             kernel: None,
-            resident: Vec::new(),
-            slots: Vec::new(),
+            resident: Vec::with_capacity(max_blocks as usize),
+            slots: (0..max_blocks).chain(0..max_blocks).collect(),
             epoch: 0,
-        };
-        sm.reset(max_blocks);
-        sm
-    }
-
-    /// Rewinds to the freshly-constructed state with `max_blocks`
-    /// residency slots, keeping the resident-block and slot storage so a
-    /// reused engine allocates nothing per scenario. Both are sized for
-    /// `max_blocks` blocks up front.
-    pub(crate) fn reset(&mut self, max_blocks: u32) {
-        self.phase = Phase::Idle;
-        self.kernel = None;
-        self.resident.clear();
-        self.resident.reserve(max_blocks as usize);
-        self.slots.clear();
-        self.slots.extend((0..max_blocks).chain(0..max_blocks));
-        self.epoch = 0;
+        }
     }
 
     pub(crate) fn is_idle(&self) -> bool {

@@ -100,17 +100,6 @@ impl CommandDispatcher {
         Some(cmd)
     }
 
-    /// Empties every queue and the in-flight index while keeping the
-    /// per-queue backing allocations, so a reused dispatcher re-enters
-    /// steady state without re-growing its maps.
-    pub fn reset(&mut self) {
-        for q in self.queues.values_mut() {
-            q.pending.clear();
-            q.in_flight = None;
-        }
-        self.in_flight_index.clear();
-    }
-
     /// Number of commands waiting in queues (not yet issued to an engine).
     pub fn pending(&self) -> usize {
         self.queues.values().map(|q| q.pending.len()).sum()

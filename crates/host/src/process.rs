@@ -1,8 +1,8 @@
 //! Host-side model of one process replaying its application trace.
 
 use gpreempt_trace::{BenchmarkTrace, TraceOp};
-use gpreempt_types::{ArrivalProcess, CommandId, Priority, ProcessId, SimTime};
-use std::collections::{HashSet, VecDeque};
+use gpreempt_types::{ArrivalProcess, Priority, ProcessId, SimTime};
+use std::collections::VecDeque;
 
 /// What a process is currently doing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -81,7 +81,8 @@ pub struct ProcessModel {
     trace: BenchmarkTrace,
     pc: usize,
     state: ProcessState,
-    outstanding: HashSet<CommandId>,
+    /// Commands issued to the GPU that have not completed yet.
+    outstanding: u32,
     iteration: u32,
     iteration_start: SimTime,
     completions: u32,
@@ -111,7 +112,7 @@ impl ProcessModel {
             trace,
             pc: 0,
             state: ProcessState::Ready,
-            outstanding: HashSet::new(),
+            outstanding: 0,
             iteration: 0,
             iteration_start: SimTime::ZERO,
             completions: 0,
@@ -140,38 +141,6 @@ impl ProcessModel {
     pub fn with_depth_trace(mut self, interval: Option<SimTime>) -> Self {
         self.depth_trace = interval.filter(|t| !t.is_zero());
         self
-    }
-
-    /// Reinitialises the model in place for a fresh run, keeping the
-    /// backlog and outstanding-command allocations. Observationally
-    /// identical to
-    /// `new(id, trace, priority).with_arrival(arrival, cap).with_depth_trace(depth_trace)`.
-    pub fn reset(
-        &mut self,
-        id: ProcessId,
-        trace: BenchmarkTrace,
-        priority: Priority,
-        arrival: ArrivalProcess,
-        backlog_cap: u32,
-        depth_trace: Option<SimTime>,
-    ) {
-        self.id = id;
-        self.priority = priority;
-        self.trace = trace;
-        self.pc = 0;
-        self.state = ProcessState::Ready;
-        self.outstanding.clear();
-        self.iteration = 0;
-        self.iteration_start = SimTime::ZERO;
-        self.completions = 0;
-        self.arrival = arrival;
-        self.backlog_cap = backlog_cap.max(1);
-        self.released = SimTime::ZERO;
-        self.backlog.clear();
-        self.burst_pos = 0;
-        self.stats = ArrivalStats::default();
-        self.depth_updated = SimTime::ZERO;
-        self.depth_trace = depth_trace.filter(|t| !t.is_zero());
     }
 
     /// The process id.
@@ -348,7 +317,7 @@ impl ProcessModel {
 
     /// Commands issued to the GPU that have not completed yet.
     pub fn outstanding_commands(&self) -> usize {
-        self.outstanding.len()
+        self.outstanding as usize
     }
 
     /// The trace operation at the cursor, if the trace is not exhausted.
@@ -382,19 +351,20 @@ impl ProcessModel {
     }
 
     /// Registers a command issued on behalf of this process.
-    pub fn note_command_issued(&mut self, command: CommandId) {
-        self.outstanding.insert(command);
+    pub fn note_command_issued(&mut self) {
+        self.outstanding += 1;
     }
 
-    /// Registers the completion of a command. Returns `true` if the command
-    /// belonged to this process.
-    pub fn note_command_completed(&mut self, command: CommandId) -> bool {
-        self.outstanding.remove(&command)
+    /// Registers the completion of one of this process's outstanding
+    /// commands. The dispatcher names each completed command's owner, so
+    /// the caller never reports a command this process did not issue.
+    pub fn note_command_completed(&mut self) {
+        self.outstanding -= 1;
     }
 
     /// Whether every issued command has completed.
     pub fn all_commands_completed(&self) -> bool {
-        self.outstanding.is_empty()
+        self.outstanding == 0
     }
 
     /// Records the completion of the current iteration at `now` and restarts
@@ -415,7 +385,7 @@ impl ProcessModel {
         self.pc = 0;
         self.state = ProcessState::Ready;
         debug_assert!(
-            self.outstanding.is_empty(),
+            self.outstanding == 0,
             "iteration completed with outstanding commands"
         );
         record
@@ -458,13 +428,14 @@ mod tests {
     fn outstanding_command_tracking() {
         let mut p = ProcessModel::new(ProcessId::new(1), trace(), Priority::HIGH);
         assert_eq!(p.priority(), Priority::HIGH);
-        p.note_command_issued(CommandId::new(10));
-        p.note_command_issued(CommandId::new(11));
+        p.note_command_issued();
+        p.note_command_issued();
         assert_eq!(p.outstanding_commands(), 2);
         assert!(!p.all_commands_completed());
-        assert!(p.note_command_completed(CommandId::new(10)));
-        assert!(!p.note_command_completed(CommandId::new(99)));
-        assert!(p.note_command_completed(CommandId::new(11)));
+        p.note_command_completed();
+        assert_eq!(p.outstanding_commands(), 1);
+        assert!(!p.all_commands_completed());
+        p.note_command_completed();
         assert!(p.all_commands_completed());
     }
 

@@ -119,7 +119,7 @@ impl HostSystem {
     /// (their streams are never drawn from).
     #[must_use]
     pub fn with_seed(mut self, seed: u64) -> Self {
-        self.reseed_rngs(seed);
+        self.arrival_rngs = Self::derive_rngs(seed, self.processes.len());
         self
     }
 
@@ -130,18 +130,11 @@ impl HostSystem {
         (0..n).map(|i| root.derive(0xA221_u64 + i as u64)).collect()
     }
 
-    fn reseed_rngs(&mut self, seed: u64) {
-        let root = SimRng::new(seed);
-        self.arrival_rngs.clear();
-        self.arrival_rngs
-            .extend((0..self.processes.len()).map(|i| root.derive(0xA221_u64 + i as u64)));
-    }
-
-    /// Reinitialises the host in place for a new workload, reusing every
-    /// allocation the previous run grew (process models, dispatcher
-    /// queues, drain buffers, RNG streams). The reset host is
-    /// observationally identical to one built by
+    /// Replaces the host with
     /// `HostSystem::new(workload, pcie, transfer_policy).with_seed(seed)`.
+    /// The simulator builds its host with `new`; this stays because the
+    /// benchmark's replay of the event loop (`perfbench/src/replay.rs`)
+    /// calls it.
     pub fn reset(
         &mut self,
         workload: &Workload,
@@ -149,38 +142,7 @@ impl HostSystem {
         transfer_policy: TransferPolicy,
         seed: u64,
     ) {
-        let specs = workload.processes();
-        self.processes.truncate(specs.len());
-        for (i, spec) in specs.iter().enumerate() {
-            if i < self.processes.len() {
-                self.processes[i].reset(
-                    ProcessId::from(i),
-                    spec.benchmark.clone(),
-                    spec.effective_priority(),
-                    spec.arrival,
-                    spec.backlog_cap,
-                    spec.depth_trace,
-                );
-            } else {
-                self.processes.push(
-                    ProcessModel::new(
-                        ProcessId::from(i),
-                        spec.benchmark.clone(),
-                        spec.effective_priority(),
-                    )
-                    .with_arrival(spec.arrival, spec.backlog_cap)
-                    .with_depth_trace(spec.depth_trace),
-                );
-            }
-        }
-        self.dispatcher.reset();
-        self.transfer.reset(pcie, transfer_policy);
-        self.next_command = 0;
-        self.scheduled.clear();
-        self.launches.clear();
-        self.iterations.clear();
-        self.release_requests.clear();
-        self.reseed_rngs(seed);
+        *self = Self::new(workload, pcie, transfer_policy).with_seed(seed);
     }
 
     /// The per-process models (read-only).
@@ -394,7 +356,7 @@ impl HostSystem {
         }
         let unblocked = {
             let p = &mut self.processes[owner.index()];
-            p.note_command_completed(command);
+            p.note_command_completed();
             p.state() == ProcessState::WaitingSync && p.all_commands_completed()
         };
         if unblocked {
@@ -482,7 +444,7 @@ impl HostSystem {
     fn new_command(&mut self, pid: ProcessId) -> CommandId {
         let id = CommandId::new(self.next_command);
         self.next_command += 1;
-        self.processes[pid.index()].note_command_issued(id);
+        self.processes[pid.index()].note_command_issued();
         id
     }
 

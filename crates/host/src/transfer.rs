@@ -65,18 +65,6 @@ impl TransferEngine {
         }
     }
 
-    /// Reinitialises the engine for a new run over (possibly different)
-    /// link parameters, keeping the queue allocation.
-    pub fn reset(&mut self, pcie: PcieConfig, policy: TransferPolicy) {
-        self.pcie = pcie;
-        self.policy = policy;
-        self.queue.clear();
-        self.current = None;
-        self.busy_time = SimTime::ZERO;
-        self.completed = 0;
-        self.bytes_moved = 0;
-    }
-
     /// The queue ordering policy.
     pub fn policy(&self) -> TransferPolicy {
         self.policy

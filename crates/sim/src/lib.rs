@@ -34,4 +34,3 @@ pub mod stats;
 pub use alloc_count::{thread_allocations, CountingAlloc};
 pub use queue::EventQueue;
 pub use rng::SimRng;
-pub use stats::Summary;

@@ -1,7 +1,5 @@
 //! Small statistics helpers used when aggregating experiment results.
 
-use std::fmt;
-
 /// Arithmetic mean of a slice. Returns NaN for an empty slice so that an
 /// absent statistic is distinguishable from a genuine zero (the JSON writer
 /// maps non-finite values to `null`, and tables render them as `-`).
@@ -10,36 +8,6 @@ pub fn mean(values: &[f64]) -> f64 {
         return f64::NAN;
     }
     values.iter().sum::<f64>() / values.len() as f64
-}
-
-/// Geometric mean of a slice of positive values. Non-positive values are
-/// ignored; returns 0.0 if nothing remains.
-pub fn geomean(values: &[f64]) -> f64 {
-    let logs: Vec<f64> = values
-        .iter()
-        .copied()
-        .filter(|v| *v > 0.0 && v.is_finite())
-        .map(f64::ln)
-        .collect();
-    if logs.is_empty() {
-        return 0.0;
-    }
-    (logs.iter().sum::<f64>() / logs.len() as f64).exp()
-}
-
-/// Harmonic mean of a slice of positive values. Non-positive values are
-/// ignored; returns 0.0 if nothing remains.
-pub fn harmonic_mean(values: &[f64]) -> f64 {
-    let inv: Vec<f64> = values
-        .iter()
-        .copied()
-        .filter(|v| *v > 0.0 && v.is_finite())
-        .map(|v| 1.0 / v)
-        .collect();
-    if inv.is_empty() {
-        return 0.0;
-    }
-    inv.len() as f64 / inv.iter().sum::<f64>()
 }
 
 /// Sample standard deviation. Returns 0.0 for fewer than two values.
@@ -75,108 +43,6 @@ pub fn percentile(values: &[f64], p: f64) -> f64 {
     }
 }
 
-/// A one-pass summary (count, min, max, mean) of a stream of samples.
-///
-/// # Example
-///
-/// ```
-/// use gpreempt_sim::Summary;
-///
-/// let mut s = Summary::new();
-/// for v in [1.0, 2.0, 3.0] {
-///     s.record(v);
-/// }
-/// assert_eq!(s.count(), 3);
-/// assert_eq!(s.mean(), 2.0);
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Summary {
-    count: u64,
-    sum: f64,
-    min: f64,
-    max: f64,
-}
-
-impl Default for Summary {
-    /// Identical to [`Summary::new`]. A derived `Default` would seed
-    /// `min`/`max` at 0.0 instead of ±∞, so `Summary::default()` followed by
-    /// `record(5.0)` would report `min == 0.0`.
-    fn default() -> Self {
-        Summary::new()
-    }
-}
-
-impl Summary {
-    /// Creates an empty summary.
-    pub fn new() -> Self {
-        Summary {
-            count: 0,
-            sum: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    /// Records one sample. Non-finite samples are ignored.
-    pub fn record(&mut self, value: f64) {
-        if !value.is_finite() {
-            return;
-        }
-        self.count += 1;
-        self.sum += value;
-        self.min = self.min.min(value);
-        self.max = self.max.max(value);
-    }
-
-    /// Number of samples recorded.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Sum of the samples.
-    pub fn sum(&self) -> f64 {
-        self.sum
-    }
-
-    /// Arithmetic mean (NaN when empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            f64::NAN
-        } else {
-            self.sum / self.count as f64
-        }
-    }
-
-    /// Minimum sample (NaN when empty).
-    pub fn min(&self) -> f64 {
-        if self.count == 0 {
-            f64::NAN
-        } else {
-            self.min
-        }
-    }
-
-    /// Maximum sample (NaN when empty).
-    pub fn max(&self) -> f64 {
-        if self.count == 0 {
-            f64::NAN
-        } else {
-            self.max
-        }
-    }
-
-    /// Merges another summary into this one.
-    pub fn merge(&mut self, other: &Summary) {
-        if other.count == 0 {
-            return;
-        }
-        self.count += other.count;
-        self.sum += other.sum;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-}
-
 /// Formats a statistic for a table cell: `-` when the value is non-finite
 /// (the empty-input sentinel), otherwise the value at the given precision.
 /// Keeps absent statistics visually distinct from a genuine zero.
@@ -185,37 +51,6 @@ pub fn fmt_stat(value: f64, precision: usize) -> String {
         format!("{value:.precision$}")
     } else {
         "-".to_string()
-    }
-}
-
-impl fmt::Display for Summary {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "n={} mean={} min={} max={}",
-            self.count,
-            fmt_stat(self.mean(), 4),
-            fmt_stat(self.min(), 4),
-            fmt_stat(self.max(), 4)
-        )
-    }
-}
-
-impl FromIterator<f64> for Summary {
-    fn from_iter<I: IntoIterator<Item = f64>>(iter: I) -> Self {
-        let mut s = Summary::new();
-        for v in iter {
-            s.record(v);
-        }
-        s
-    }
-}
-
-impl Extend<f64> for Summary {
-    fn extend<I: IntoIterator<Item = f64>>(&mut self, iter: I) {
-        for v in iter {
-            self.record(v);
-        }
     }
 }
 
@@ -228,22 +63,6 @@ mod tests {
         assert!(mean(&[]).is_nan());
         assert_eq!(mean(&[2.0]), 2.0);
         assert_eq!(mean(&[1.0, 2.0, 3.0]), 2.0);
-    }
-
-    #[test]
-    fn geomean_of_values() {
-        assert_eq!(geomean(&[]), 0.0);
-        assert!((geomean(&[1.0, 4.0]) - 2.0).abs() < 1e-12);
-        // Non-positive values are skipped.
-        assert!((geomean(&[-5.0, 4.0, 1.0]) - 2.0).abs() < 1e-12);
-        assert_eq!(geomean(&[0.0, -1.0]), 0.0);
-    }
-
-    #[test]
-    fn harmonic_mean_of_values() {
-        assert_eq!(harmonic_mean(&[]), 0.0);
-        assert!((harmonic_mean(&[1.0, 1.0]) - 1.0).abs() < 1e-12);
-        assert!((harmonic_mean(&[2.0, 6.0]) - 3.0).abs() < 1e-12);
     }
 
     #[test]
@@ -263,71 +82,9 @@ mod tests {
     }
 
     #[test]
-    fn empty_summary_is_nan_not_zero() {
-        let s = Summary::new();
-        assert!(s.mean().is_nan());
-        assert!(s.min().is_nan());
-        assert!(s.max().is_nan());
-        assert_eq!(s.sum(), 0.0);
-    }
-
-    /// `Summary::default()` must behave exactly like `Summary::new()`: the
-    /// derived impl seeded min/max at 0.0, so `default()` + `record(5.0)`
-    /// reported min = 0.0.
-    #[test]
-    fn default_summary_is_identical_to_new() {
-        assert_eq!(Summary::default(), Summary::new());
-        let mut d = Summary::default();
-        d.record(5.0);
-        assert_eq!(d.min(), 5.0);
-        assert_eq!(d.max(), 5.0);
-        let mut n = Summary::new();
-        n.record(5.0);
-        assert_eq!(d, n);
-    }
-
-    #[test]
     fn fmt_stat_renders_dash_for_non_finite() {
         assert_eq!(fmt_stat(1.25, 2), "1.25");
         assert_eq!(fmt_stat(f64::NAN, 2), "-");
         assert_eq!(fmt_stat(f64::INFINITY, 2), "-");
-        assert_eq!(Summary::new().to_string(), "n=0 mean=- min=- max=-");
-    }
-
-    #[test]
-    fn summary_accumulates() {
-        let mut s = Summary::new();
-        s.record(1.0);
-        s.record(5.0);
-        s.record(f64::NAN); // ignored
-        assert_eq!(s.count(), 2);
-        assert_eq!(s.mean(), 3.0);
-        assert_eq!(s.min(), 1.0);
-        assert_eq!(s.max(), 5.0);
-        assert_eq!(s.sum(), 6.0);
-    }
-
-    #[test]
-    fn summary_merge_and_collect() {
-        let a: Summary = [1.0, 2.0].into_iter().collect();
-        let mut b: Summary = [3.0, 4.0].into_iter().collect();
-        b.merge(&a);
-        assert_eq!(b.count(), 4);
-        assert_eq!(b.mean(), 2.5);
-        let empty = Summary::new();
-        let mut c = a;
-        c.merge(&empty);
-        assert_eq!(c.count(), 2);
-        let mut d = Summary::new();
-        d.extend([10.0, 20.0]);
-        assert_eq!(d.max(), 20.0);
-    }
-
-    #[test]
-    fn summary_display() {
-        let s: Summary = [1.0, 3.0].into_iter().collect();
-        let text = s.to_string();
-        assert!(text.contains("n=2"));
-        assert!(text.contains("mean=2.0000"));
     }
 }
