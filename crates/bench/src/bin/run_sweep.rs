@@ -18,9 +18,6 @@
 //! * `--format table|json` (default `table`). JSON goes to stdout; the
 //!   wall-clock summary always goes to stderr so piped JSON stays clean.
 //! * `--seed N` overrides the workload-generation seed of the scale.
-//! * `--depth-trace US` samples every process's queue depth every `US`
-//!   microseconds of simulated time; the traces ride along as a `series`
-//!   field on saturation JSONL records.
 //! * `--timing` with `--format table`: also print the per-scenario
 //!   wall-clock table. With either format, each experiment additionally
 //!   reports its own events/sec line on stderr as it completes.
@@ -60,7 +57,6 @@ use gpreempt::sweep::{
     SweepRunner, SweepTiming,
 };
 use gpreempt::SimulatorConfig;
-use gpreempt_types::SimTime;
 use std::io::Read as _;
 
 // Per-scenario allocation accounting for `--timing`: every allocation on a
@@ -114,7 +110,6 @@ fn usage() {
     println!("  --jobs N          worker threads, 0 = one per CPU  (default 0)");
     println!("  --format table|json                                (default table)");
     println!("  --seed N          workload-generation seed override");
-    println!("  --depth-trace US  sample per-process queue depth every US microseconds");
     println!("  --shard K/N       simulate only scenario ids with id % N == K,");
     println!("                    checkpointing fold values; resumes automatically");
     println!("  --shard-out FILE  shard checkpoint path (default shard-K-of-N.jsonl)");
@@ -137,13 +132,9 @@ fn validate_stdin() -> Result<(), Box<dyn std::error::Error>> {
     }
 }
 
-/// The named scale with a run's seed and depth-trace overrides, from the
-/// command line or a shard manifest.
-fn scale_of(
-    name: &str,
-    seed: Option<u64>,
-    depth_trace: Option<SimTime>,
-) -> Result<ExperimentScale, String> {
+/// The named scale with a run's seed override, from the command line or a
+/// shard manifest.
+fn scale_of(name: &str, seed: Option<u64>) -> Result<ExperimentScale, String> {
     let mut scale = match name {
         "quick" => ExperimentScale::quick(),
         "bench" => ExperimentScale::bench(),
@@ -151,19 +142,7 @@ fn scale_of(
         other => return Err(format!("unknown scale {other:?}")),
     };
     scale.seed = seed.unwrap_or(scale.seed);
-    Ok(scale.with_depth_trace(depth_trace))
-}
-
-/// The `--depth-trace` interval: microseconds whose nanosecond count must
-/// fit the simulation clock, or an error naming the flag and the value.
-fn depth_trace_of(args: &mut impl Iterator<Item = String>) -> Result<SimTime, String> {
-    let us: u64 = number_of(args, "--depth-trace")?;
-    SimTime::checked_from_micros(us).ok_or_else(|| {
-        format!(
-            "bad --depth-trace value \"{us}\": exceeds the largest interval, {} us",
-            u64::MAX / 1_000
-        )
-    })
+    Ok(scale)
 }
 
 /// Per-experiment throughput, printed with `--timing` the moment each
@@ -216,12 +195,7 @@ fn merge_main(mut args: impl Iterator<Item = String>) -> Result<(), Box<dyn std:
     let merged = MergedValues::load(&files)?;
     let manifest = merged.manifest();
     let selection = select(&manifest.experiment)?;
-    // `ShardManifest::parse` rejected intervals that overflow nanoseconds.
-    let scale = scale_of(
-        &manifest.scale,
-        Some(manifest.seed),
-        manifest.depth_trace_us.map(SimTime::from_micros),
-    )?;
+    let scale = scale_of(&manifest.scale, Some(manifest.seed))?;
 
     let config = SimulatorConfig::default();
     // Only the cheap isolated probes actually simulate during a merge; the
@@ -260,7 +234,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut jobs = 0usize;
     let mut format = Format::Table;
     let mut seed: Option<u64> = None;
-    let mut depth_trace: Option<SimTime> = None;
     let mut timing_table = false;
     let mut out_path: Option<String> = None;
     let mut shard: Option<ShardSpec> = None;
@@ -275,7 +248,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             "--out" => out_path = Some(value_of(&mut args, "--out")?),
             "--format" => format = parse_format(&value_of(&mut args, "--format")?)?,
             "--seed" => seed = Some(number_of(&mut args, "--seed")?),
-            "--depth-trace" => depth_trace = Some(depth_trace_of(&mut args)?),
             "--shard" => shard = Some(ShardSpec::parse(&value_of(&mut args, "--shard")?)?),
             "--shard-out" => shard_out = Some(value_of(&mut args, "--shard-out")?),
             "--timing" => timing_table = true,
@@ -289,7 +261,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     let selection = select(&experiment)?;
-    let scale = scale_of(&scale_name, seed, depth_trace)?;
+    let scale = scale_of(&scale_name, seed)?;
 
     // A shard run writes a checkpoint, not a report; the two outputs are
     // mutually exclusive by design.

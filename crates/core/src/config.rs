@@ -132,7 +132,7 @@ impl std::fmt::Display for PolicyKind {
 /// parameters, preemption-mechanism selection, RNG seed and safety limits.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SimulatorConfig {
-    /// Machine parameters (CPU, PCIe, GPU — Table 2). The preemption
+    /// Machine parameters (PCIe, GPU — Table 2). The preemption
     /// sub-configuration carries the [`MechanismSelection`] the execution
     /// engine consults at each `preempt_sm`.
     pub machine: SimConfig,
@@ -180,13 +180,6 @@ impl SimulatorConfig {
     #[must_use]
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Overrides the derived transfer-engine policy.
-    #[must_use]
-    pub fn with_transfer_policy(mut self, policy: TransferPolicy) -> Self {
-        self.transfer_policy = Some(policy);
         self
     }
 }
@@ -278,14 +271,12 @@ mod tests {
     fn config_builders() {
         let c = SimulatorConfig::new()
             .with_mechanism(PreemptionMechanism::Draining)
-            .with_seed(7)
-            .with_transfer_policy(TransferPolicy::Priority);
+            .with_seed(7);
         assert_eq!(
             c.selection(),
             MechanismSelection::Fixed(PreemptionMechanism::Draining)
         );
         assert_eq!(c.seed, 7);
-        assert_eq!(c.transfer_policy, Some(TransferPolicy::Priority));
         assert_eq!(c.machine.gpu.n_sms, 13);
 
         let adaptive = SimulatorConfig::new().with_selection(MechanismSelection::adaptive());

@@ -37,10 +37,6 @@ pub struct ExperimentScale {
     pub seed: u64,
     /// Restrict the benchmark pool to these names (`None` = all ten).
     pub benchmarks: Option<Vec<String>>,
-    /// Sample per-process queue-depth traces at this fixed interval in the
-    /// open-arrival experiments (`None`, the default, keeps tracing off and
-    /// reports byte-identical to the pre-trace format).
-    pub depth_trace: Option<SimTime>,
 }
 
 impl ExperimentScale {
@@ -55,7 +51,6 @@ impl ExperimentScale {
             min_completions: 3,
             seed: 2014,
             benchmarks: None,
-            depth_trace: None,
         }
     }
 
@@ -74,7 +69,6 @@ impl ExperimentScale {
                     .map(String::from)
                     .collect(),
             ),
-            depth_trace: None,
         }
     }
 
@@ -90,16 +84,7 @@ impl ExperimentScale {
             min_completions: 1,
             seed: 2014,
             benchmarks: None,
-            depth_trace: None,
         }
-    }
-
-    /// Sets the depth-trace sampling interval (a zero interval disables
-    /// tracing, same as `None`).
-    #[must_use]
-    pub fn with_depth_trace(mut self, interval: Option<SimTime>) -> Self {
-        self.depth_trace = interval.filter(|t| !t.is_zero());
-        self
     }
 
     /// Sets the benchmark subset.

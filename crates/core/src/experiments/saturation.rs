@@ -161,10 +161,6 @@ checkpointed! {
         pub throughput_per_sec: f64,
         /// Preemptions the policy requested.
         pub preemptions: u64,
-        /// Per-process queue-depth samples at the scale's `depth_trace`
-        /// interval; one (possibly empty) trace per process. Empty vectors
-        /// (tracing off) cost nothing and are omitted from JSONL records.
-        pub depth_traces: Vec<Vec<u32>>,
     }
 }
 
@@ -264,14 +260,11 @@ impl Experiment for SaturationResults {
                         .collect();
                     // The replay target is unreachable on purpose: the
                     // horizon is the only stop condition.
-                    let mut workload = Workload::new(
+                    let workload = Workload::new(
                         format!("sat-{size}p-rho{rho:.2}-{}", arrival.label()),
                         processes,
                     )
                     .with_min_completions(u32::MAX);
-                    if let Some(interval) = scale.depth_trace {
-                        workload = workload.with_depth_trace(interval);
-                    }
                     for &policy in &SATURATION_POLICIES {
                         for &mechanism in &SATURATION_MECHANISMS {
                             let key = SaturationCellKey {
@@ -334,11 +327,6 @@ impl Experiment for SaturationResults {
             max_queue_depth,
             throughput_per_sec: slo.throughput_per_sec(),
             preemptions: run.engine_stats().preemptions,
-            depth_traces: run
-                .arrival_stats()
-                .iter()
-                .map(|s| s.depth_samples.clone())
-                .collect(),
         })
     }
 
@@ -538,7 +526,7 @@ impl SaturationResults {
 /// The per-scenario record streamed to the JSONL sink: one seed's raw
 /// outcome, identified by workload and scenario label.
 fn point_record(scenario: &Scenario, point: &SaturationPoint) -> SweepRecord {
-    let mut record = SweepRecord::new(
+    SweepRecord::new(
         "saturation",
         scenario.workload.name(),
         &scenario.label,
@@ -554,11 +542,7 @@ fn point_record(scenario: &Scenario, point: &SaturationPoint) -> SweepRecord {
     .with_value("mean_queue_depth", point.mean_queue_depth)
     .with_value("max_queue_depth", point.max_queue_depth as f64)
     .with_value("throughput_per_sec", point.throughput_per_sec)
-    .with_value("preemptions", point.preemptions as f64);
-    for (i, trace) in point.depth_traces.iter().enumerate() {
-        record = record.with_series(format!("depth_{i}"), trace.clone());
-    }
-    record
+    .with_value("preemptions", point.preemptions as f64)
 }
 
 #[cfg(test)]

@@ -23,12 +23,6 @@ pub struct SweepRecord {
     pub size: usize,
     /// Named metric values, in a fixed per-group order.
     pub values: Vec<(String, f64)>,
-    /// Named sampled series (e.g. per-process queue-depth traces), in a
-    /// fixed per-group order. Almost always empty — the `series` JSON key
-    /// is emitted only when at least one series is present, so reports
-    /// without traces serialise exactly as they did before the field
-    /// existed.
-    pub series: Vec<(String, Vec<u32>)>,
 }
 
 impl SweepRecord {
@@ -46,7 +40,6 @@ impl SweepRecord {
             config: config.into(),
             size,
             values: Vec::new(),
-            series: Vec::new(),
         }
     }
 
@@ -54,16 +47,6 @@ impl SweepRecord {
     #[must_use]
     pub fn with_value(mut self, name: impl Into<String>, value: f64) -> Self {
         self.values.push((name.into(), value));
-        self
-    }
-
-    /// Appends a named sampled series (ignored when `samples` is empty, so
-    /// callers can pass a possibly-empty trace unconditionally).
-    #[must_use]
-    pub fn with_series(mut self, name: impl Into<String>, samples: Vec<u32>) -> Self {
-        if !samples.is_empty() {
-            self.series.push((name.into(), samples));
-        }
         self
     }
 
@@ -80,7 +63,7 @@ impl SweepRecord {
     }
 
     fn to_value(&self) -> Value {
-        let mut fields = vec![
+        Value::Object(vec![
             ("id".to_string(), Value::from(self.id)),
             ("group".to_string(), Value::from(self.group.as_str())),
             ("workload".to_string(), Value::from(self.workload.as_str())),
@@ -95,23 +78,7 @@ impl SweepRecord {
                         .collect(),
                 ),
             ),
-        ];
-        if !self.series.is_empty() {
-            fields.push((
-                "series".to_string(),
-                Value::Object(
-                    self.series
-                        .iter()
-                        .map(|(k, samples)| {
-                            let items =
-                                samples.iter().map(|&s| Value::from(u64::from(s))).collect();
-                            (k.clone(), Value::Array(items))
-                        })
-                        .collect(),
-                ),
-            ));
-        }
-        Value::Object(fields)
+        ])
     }
 }
 
@@ -325,26 +292,6 @@ mod tests {
         assert!(SweepReport::validate_json(fractional)
             .unwrap_err()
             .contains("non-integer record_count"));
-    }
-
-    #[test]
-    fn series_are_emitted_only_when_present() {
-        // No series → the key is absent and the JSON is byte-identical to
-        // the pre-series format.
-        let plain = sample().to_json();
-        assert!(!plain.contains("series"));
-        let mut report = SweepReport::new(1);
-        report.push(
-            SweepRecord::new("saturation", "w", "c", 2)
-                .with_value("shed_rate", 0.25)
-                .with_series("depth_0", vec![0, 1, 2, 1])
-                .with_series("depth_1", vec![]),
-        );
-        let text = report.to_json();
-        assert!(text.contains(r#""series":{"depth_0":[0,1,2,1]}"#));
-        assert!(!text.contains("depth_1"), "empty series are dropped");
-        // The validator ignores the extra key.
-        assert_eq!(SweepReport::validate_json(&text).unwrap(), 1);
     }
 
     #[test]

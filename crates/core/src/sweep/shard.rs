@@ -119,17 +119,13 @@ pub struct ShardManifest {
     pub shard: ShardSpec,
     /// [`schema_fingerprint`] of the writing binary.
     pub schema: u64,
-    /// Queue-depth trace interval in microseconds, if enabled — it changes
-    /// the saturation fold value, so shards must agree on it.
-    pub depth_trace_us: Option<u64>,
 }
 
 impl ShardManifest {
     /// Builds the manifest for a shard of `experiment` (the `--experiment`
     /// selector) at the scale named `scale_name`, stamping the current
-    /// binary's schema fingerprint. Seed and depth-trace interval are read
-    /// from `scale`, the scale that actually runs, so a zero interval
-    /// (tracing off) records the same `null` as no interval.
+    /// binary's schema fingerprint. The seed is read from `scale`, the
+    /// scale that actually runs.
     pub fn new(
         experiment: impl Into<String>,
         scale_name: impl Into<String>,
@@ -142,7 +138,6 @@ impl ShardManifest {
             seed: scale.seed,
             shard,
             schema: schema_fingerprint(),
-            depth_trace_us: scale.depth_trace.map(|t| t.as_nanos() / 1_000),
         }
     }
 
@@ -156,10 +151,6 @@ impl ShardManifest {
             ("shard_index", Value::from(u64::from(self.shard.index))),
             ("shard_count", Value::from(u64::from(self.shard.count))),
             ("schema", Value::from(self.schema)),
-            (
-                "depth_trace_us",
-                self.depth_trace_us.map_or(Value::Null, Value::from),
-            ),
         ])
         .to_json()
     }
@@ -192,28 +183,12 @@ impl ShardManifest {
         if count == 0 || index >= count {
             return Err(bad("shard_index/shard_count do not form a valid stripe"));
         }
-        let depth_trace_us = match field("depth_trace_us")? {
-            Value::Null => None,
-            other => {
-                let us = other
-                    .as_u64()
-                    .ok_or_else(|| bad("depth_trace_us is not an unsigned integer"))?;
-                if SimTime::checked_from_micros(us).is_none() {
-                    return Err(bad(&format!(
-                        "depth_trace_us {us} exceeds the largest interval, {} us",
-                        u64::MAX / 1_000
-                    )));
-                }
-                Some(us)
-            }
-        };
         Ok(ShardManifest {
             experiment: string("experiment")?,
             scale: string("scale")?,
             seed: uint("seed")?,
             shard: ShardSpec { index, count },
             schema: uint("schema")?,
-            depth_trace_us,
         })
     }
 
@@ -249,13 +224,6 @@ impl ShardManifest {
                 "schema fingerprint",
                 &format!("{:016x}", self.schema),
                 &format!("{:016x}", other.schema),
-            ));
-        }
-        if other.depth_trace_us != self.depth_trace_us {
-            return Err(mismatch(
-                "depth_trace_us",
-                &format!("{:?}", self.depth_trace_us),
-                &format!("{:?}", other.depth_trace_us),
             ));
         }
         Ok(())
@@ -445,9 +413,10 @@ pub struct MergedValues {
 
 impl MergedValues {
     /// Loads and cross-validates a set of shard checkpoints: every manifest
-    /// must agree on experiment / scale / seed / schema / depth-trace and
-    /// on the shard count, the shard indices must be exactly `0..count`
-    /// (each once), and every record must belong to its file's stripe.
+    /// must agree on experiment / scale / seed and on the shard count, carry
+    /// this binary's [`schema_fingerprint`], the shard indices must be
+    /// exactly `0..count` (each once), and every record must belong to its
+    /// file's stripe.
     ///
     /// Completeness per experiment is *not* checked here — plan lengths are
     /// only known once the plans are rebuilt; the merge run reports the
@@ -470,17 +439,14 @@ impl MergedValues {
                 .map_err(|e| SimError::internal(format!("cannot read shard {shown}: {e}")))?;
             let mut lines = text.lines();
             let manifest = ShardManifest::parse(lines.next().unwrap_or_default(), &shown)?;
-            match &reference {
-                None => reference = Some(manifest.clone()),
-                Some(first) => {
-                    // Compare everything but the stripe index by pretending
-                    // the expected index is this file's: only genuine
-                    // incompatibilities remain.
-                    let mut expected = first.clone();
-                    expected.shard.index = manifest.shard.index;
-                    expected.ensure_matches(&manifest, &shown)?;
-                }
-            }
+            // Compare with the first file on everything but the stripe
+            // index, and with this binary on the schema, by pretending the
+            // expected index is this file's: only genuine incompatibilities
+            // remain.
+            let mut expected = reference.get_or_insert_with(|| manifest.clone()).clone();
+            expected.shard.index = manifest.shard.index;
+            expected.schema = schema_fingerprint();
+            expected.ensure_matches(&manifest, &shown)?;
             if !seen_indices.insert(manifest.shard.index) {
                 return Err(SimError::internal(format!(
                     "duplicate shard index {} (file {shown})",
@@ -808,7 +774,7 @@ mod tests {
 
     #[test]
     fn manifest_round_trips() {
-        let mut scale = ExperimentScale::bench().with_depth_trace(Some(SimTime::from_micros(250)));
+        let mut scale = ExperimentScale::bench();
         scale.seed = 42;
         let m = ShardManifest::new(
             "saturation",
@@ -816,43 +782,10 @@ mod tests {
             &scale,
             ShardSpec { index: 2, count: 4 },
         );
-        assert_eq!((m.seed, m.depth_trace_us), (42, Some(250)));
+        assert_eq!(m.seed, 42);
         let parsed = ShardManifest::parse(&m.to_json(), "shard.jsonl").unwrap();
         assert_eq!(parsed, m);
         assert_eq!(parsed.schema, schema_fingerprint());
-    }
-
-    #[test]
-    fn zero_depth_trace_records_like_no_trace() {
-        let spec = ShardSpec { index: 0, count: 2 };
-        let traced = ExperimentScale::quick().with_depth_trace(Some(SimTime::ZERO));
-        let zero = ShardManifest::new("fig2", "quick", &traced, spec);
-        assert_eq!(
-            zero,
-            ShardManifest::new("fig2", "quick", &ExperimentScale::quick(), spec)
-        );
-        assert!(zero.to_json().contains(r#""depth_trace_us":null"#));
-    }
-
-    /// A depth-trace interval whose nanosecond count overflows would wrap
-    /// to a different interval (or to zero, "tracing off"): such a
-    /// checkpoint fails to load, naming the file and the field.
-    #[test]
-    fn overflowing_depth_trace_fails_to_load() {
-        let dir = temp_dir("depth-overflow");
-        let path = dir.join("shard.jsonl");
-        let spec = ShardSpec { index: 0, count: 1 };
-        let mut m = manifest(spec);
-        m.depth_trace_us = Some(u64::MAX / 1_000 + 1);
-        std::fs::write(&path, format!("{}\n", m.to_json())).unwrap();
-        let shown = path.display().to_string();
-        let merge = MergedValues::load(&[&path]).unwrap_err().to_string();
-        let resume = ShardSession::open(&path, m).unwrap_err().to_string();
-        for err in [merge, resume] {
-            assert!(err.contains(&shown), "{err}");
-            assert!(err.contains("depth_trace_us 18446744073709552"), "{err}");
-        }
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -885,10 +818,7 @@ mod tests {
     #[test]
     fn field_codecs_spell_keys_and_check_ranges() {
         assert_eq!(field_key::<SimTime>("k3_start"), "k3_start_ns");
-        assert_eq!(
-            schema_key::<Vec<Vec<u32>>>("depth_traces"),
-            "depth_traces[][]"
-        );
+        assert_eq!(schema_key::<Vec<Vec<u32>>>("grid"), "grid[][]");
         assert_eq!(schema_key::<Vec<f64>>("ntt"), "ntt[]");
         assert_eq!(u32::decode(&Value::from(u64::from(u32::MAX))), Ok(u32::MAX));
         let err = u32::decode(&Value::from(1u64 << 32)).unwrap_err();
@@ -1046,6 +976,28 @@ mod tests {
         drop(ShardSession::open(&b, other).unwrap());
         let err = MergedValues::load(&[a, b]).unwrap_err();
         assert!(err.to_string().contains("seed"), "{err}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A checkpoint written under another schema is refused by merge as
+    /// well as by resume, naming the file and both fingerprints — even
+    /// when it is the only file, so there is no other manifest to differ
+    /// from.
+    #[test]
+    fn merge_refuses_a_foreign_schema() {
+        let dir = temp_dir("merge-schema");
+        let path = dir.join("shard.jsonl");
+        let mut foreign = manifest(ShardSpec { index: 0, count: 1 });
+        foreign.schema = 12345;
+        drop(ShardSession::open(&path, foreign).unwrap());
+        let err = MergedValues::load(&[&path]).unwrap_err().to_string();
+        assert!(err.contains(&path.display().to_string()), "{err}");
+        assert!(
+            err.contains("schema fingerprint is 0000000000003039"),
+            "{err}"
+        );
+        let ours = format!("expected {:016x}", schema_fingerprint());
+        assert!(err.contains(&ours), "{err}");
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -51,9 +51,9 @@ impl IterationRecord {
 }
 
 /// End-of-run arrival accounting of one process: how many iterations were
-/// released / admitted / shed, and the backlog-depth trace reduced to a
+/// released / admitted / shed, and the backlog depth over time reduced to a
 /// time-weighted integral plus the maximum observed depth.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ArrivalStats {
     /// Release-timer firings (including the initial release at start).
     pub released: u64,
@@ -66,10 +66,6 @@ pub struct ArrivalStats {
     pub depth_integral_ns: u128,
     /// Largest backlog depth ever observed.
     pub max_depth: u32,
-    /// Backlog depth sampled at `k × interval` for `k = 1, 2, …` when the
-    /// process was built with a depth-trace interval; empty otherwise (the
-    /// default, which keeps the stats allocation-free).
-    pub depth_samples: Vec<u32>,
 }
 
 /// The host-side state of one process: its trace cursor, outstanding GPU
@@ -98,8 +94,6 @@ pub struct ProcessModel {
     stats: ArrivalStats,
     /// Last time the depth integral was brought up to date.
     depth_updated: SimTime,
-    /// Sampling interval of the queue-depth trace, when enabled.
-    depth_trace: Option<SimTime>,
 }
 
 impl ProcessModel {
@@ -123,7 +117,6 @@ impl ProcessModel {
             burst_pos: 0,
             stats: ArrivalStats::default(),
             depth_updated: SimTime::ZERO,
-            depth_trace: None,
         }
     }
 
@@ -132,14 +125,6 @@ impl ProcessModel {
     pub fn with_arrival(mut self, arrival: ArrivalProcess, backlog_cap: u32) -> Self {
         self.arrival = arrival;
         self.backlog_cap = backlog_cap.max(1);
-        self
-    }
-
-    /// Enables fixed-interval queue-depth trace sampling (`None` or a zero
-    /// interval keeps it off).
-    #[must_use]
-    pub fn with_depth_trace(mut self, interval: Option<SimTime>) -> Self {
-        self.depth_trace = interval.filter(|t| !t.is_zero());
         self
     }
 
@@ -206,41 +191,21 @@ impl ProcessModel {
     }
 
     /// Arrival accounting with the depth integral extended to `horizon`
-    /// (pass the run's end time). When depth tracing is enabled the sample
-    /// vector is likewise extended to every grid point up to `horizon`, so
-    /// all processes of a run report the same number of samples.
+    /// (pass the run's end time).
     pub fn arrival_stats(&self, horizon: SimTime) -> ArrivalStats {
-        let mut stats = self.stats.clone();
+        let mut stats = self.stats;
         let dt = horizon.saturating_sub(self.depth_updated);
         stats.depth_integral_ns += self.backlog.len() as u128 * dt.as_nanos() as u128;
-        if let Some(interval) = self.depth_trace {
-            let step = interval.as_nanos();
-            let mut next = (stats.depth_samples.len() as u64 + 1).saturating_mul(step);
-            while next <= horizon.as_nanos() {
-                stats.depth_samples.push(self.backlog.len() as u32);
-                next = next.saturating_add(step);
-            }
-        }
         stats
     }
 
     /// Brings the depth integral up to date at `now`. Must be called before
-    /// every backlog mutation, which also makes the depth trace exact: the
-    /// backlog has been constant since `depth_updated`, so every grid point
-    /// `k × interval` in `(depth_updated, now]` samples the current
-    /// (pre-mutation) depth.
+    /// every backlog mutation: the backlog has been constant since
+    /// `depth_updated`, so the integral gains exactly its current
+    /// (pre-mutation) depth over that span.
     fn update_depth(&mut self, now: SimTime) {
         let dt = now.saturating_sub(self.depth_updated);
         self.stats.depth_integral_ns += self.backlog.len() as u128 * dt.as_nanos() as u128;
-        if let Some(interval) = self.depth_trace {
-            let step = interval.as_nanos();
-            let depth = self.backlog.len() as u32;
-            let mut next = (self.stats.depth_samples.len() as u64 + 1).saturating_mul(step);
-            while next <= now.as_nanos() {
-                self.stats.depth_samples.push(depth);
-                next = next.saturating_add(step);
-            }
-        }
         self.depth_updated = now;
     }
 
@@ -287,7 +252,7 @@ impl ProcessModel {
     }
 
     /// Pops the oldest queued release to start the next iteration, updating
-    /// the depth trace. Returns its release time.
+    /// the depth integral. Returns its release time.
     pub fn pop_queued_release(&mut self, now: SimTime) -> Option<SimTime> {
         if self.backlog.is_empty() {
             return None;

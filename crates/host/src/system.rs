@@ -72,8 +72,12 @@ pub struct HostSystem {
     launches: Vec<LaunchRequest>,
     iterations: Vec<IterationRecord>,
     release_requests: Vec<ReleaseRequest>,
-    /// Per-process RNG streams for stochastic arrival gaps. Empty slots for
-    /// closed-loop processes (never drawn from).
+    /// Seed of the per-process arrival streams, derived by
+    /// [`start`](Self::start).
+    seed: u64,
+    /// Per-process RNG streams for stochastic arrival gaps, one per process
+    /// from [`start`](Self::start) on. Closed-loop processes never draw
+    /// from theirs.
     arrival_rngs: Vec<SimRng>,
 }
 
@@ -97,10 +101,8 @@ impl HostSystem {
                     spec.effective_priority(),
                 )
                 .with_arrival(spec.arrival, spec.backlog_cap)
-                .with_depth_trace(spec.depth_trace)
             })
             .collect();
-        let arrival_rngs = Self::derive_rngs(0, processes.len());
         HostSystem {
             processes,
             dispatcher: CommandDispatcher::new(),
@@ -110,24 +112,18 @@ impl HostSystem {
             launches: Vec::new(),
             iterations: Vec::new(),
             release_requests: Vec::new(),
-            arrival_rngs,
+            seed: 0,
+            arrival_rngs: Vec::new(),
         }
     }
 
-    /// Re-derives the per-process arrival RNG streams from `seed`. Call
-    /// before [`start`](Self::start); a no-op for closed-loop workloads
-    /// (their streams are never drawn from).
+    /// Sets the seed the per-process arrival RNG streams are derived from.
+    /// Call before [`start`](Self::start); a no-op for closed-loop
+    /// workloads (their streams are never drawn from).
     #[must_use]
     pub fn with_seed(mut self, seed: u64) -> Self {
-        self.arrival_rngs = Self::derive_rngs(seed, self.processes.len());
+        self.seed = seed;
         self
-    }
-
-    fn derive_rngs(seed: u64, n: usize) -> Vec<SimRng> {
-        let root = SimRng::new(seed);
-        // The salt offset decorrelates arrival draws from the engine's
-        // block-jitter streams, which derive directly from process ids.
-        (0..n).map(|i| root.derive(0xA221_u64 + i as u64)).collect()
     }
 
     /// Replaces the host with
@@ -222,11 +218,17 @@ impl HostSystem {
             .collect()
     }
 
-    /// Starts every process at `now` (usually zero). Open-arrival processes
-    /// take their first release immediately (counted and admitted without
-    /// consulting the policy — the system is empty) and arm their release
-    /// timer.
+    /// Derives the arrival streams from the seed and starts every process
+    /// at `now` (usually zero). Open-arrival processes take their first
+    /// release immediately (counted and admitted without consulting the
+    /// policy — the system is empty) and arm their release timer.
     pub fn start(&mut self, now: SimTime) {
+        let root = SimRng::new(self.seed);
+        // The salt offset decorrelates arrival draws from the engine's
+        // block-jitter streams, which derive directly from process ids.
+        self.arrival_rngs = (0..self.processes.len())
+            .map(|i| root.derive(0xA221_u64 + i as u64))
+            .collect();
         for pid in 0..self.processes.len() {
             if self.processes[pid].arrival().is_open() {
                 self.processes[pid].note_release();
@@ -686,7 +688,7 @@ mod tests {
             assert!(pair[1].started >= pair[0].finished);
         }
 
-        let stats = host.arrival_stats(end)[0].clone();
+        let stats = host.arrival_stats(end)[0];
         assert!(
             stats.released > stats.admitted,
             "overload outruns admission"
@@ -710,7 +712,7 @@ mod tests {
         let mut host = HostSystem::new(&w, PcieConfig::default(), TransferPolicy::Fcfs);
         let end = run_host(&mut host, SimTime::from_micros(20), 3);
 
-        let stats = host.arrival_stats(end)[0].clone();
+        let stats = host.arrival_stats(end)[0];
         assert_eq!(stats.released, 0, "closed loops release nothing");
         assert_eq!(stats.shed, 0);
         assert_eq!(stats.max_depth, 0);
@@ -734,7 +736,7 @@ mod tests {
             SimTime::from_micros(200),
             SimTime::from_millis(3),
         );
-        let stats = host.arrival_stats(end)[0].clone();
+        let stats = host.arrival_stats(end)[0];
         assert!(stats.shed >= 2, "cap 1 under overload must shed repeatedly");
         assert!(stats.max_depth <= 1);
         assert_eq!(stats.released, stats.admitted + stats.shed);

@@ -16,13 +16,12 @@
 use crate::policy::SchedulingPolicy;
 use gpreempt_gpu::{ExecutionEngine, KsrIndex, SmState};
 use gpreempt_types::{KernelLaunchId, ProcessId, SimTime, SmId};
-use std::collections::HashMap;
 
 /// The Dynamic Spatial Sharing policy.
 #[derive(Debug)]
 pub struct DssPolicy {
-    /// SM budget (in tokens) of each process.
-    budgets: HashMap<ProcessId, i32>,
+    /// SM budget (in tokens) of each process, indexed by process id.
+    budgets: Vec<i32>,
     /// Budget used for processes that were not explicitly configured.
     default_budget: i32,
     /// Per-KSRT-slot owned-SM counts, rebuilt by one SMST pass per
@@ -35,9 +34,10 @@ pub struct DssPolicy {
 }
 
 impl DssPolicy {
-    /// Creates a DSS policy with explicit per-process budgets. Processes not
-    /// present in the map fall back to `default_budget`.
-    pub fn new(budgets: HashMap<ProcessId, i32>, default_budget: i32) -> Self {
+    /// Creates a DSS policy with explicit per-process budgets, indexed by
+    /// process id. Processes past the end of `budgets` fall back to
+    /// `default_budget`.
+    pub fn new(budgets: Vec<i32>, default_budget: i32) -> Self {
         DssPolicy {
             budgets,
             default_budget: default_budget.max(0),
@@ -54,11 +54,9 @@ impl DssPolicy {
         let n_processes = n_processes.max(1);
         let base = (n_sms as usize / n_processes) as i32;
         let remainder = n_sms as usize % n_processes;
-        let mut budgets = HashMap::new();
-        for p in 0..n_processes {
-            let bonus = if p < remainder { 1 } else { 0 };
-            budgets.insert(ProcessId::from(p), base + bonus);
-        }
+        let budgets = (0..n_processes)
+            .map(|p| base + i32::from(p < remainder))
+            .collect();
         DssPolicy {
             budgets,
             default_budget: base.max(1),
@@ -70,7 +68,7 @@ impl DssPolicy {
     /// The token budget of a process.
     pub fn budget(&self, process: ProcessId) -> i32 {
         self.budgets
-            .get(&process)
+            .get(process.index())
             .copied()
             .unwrap_or(self.default_budget)
     }
@@ -371,11 +369,8 @@ mod tests {
         // tokens. The zero-token kernel must not steal SMs while the funded
         // kernel needs them — but work conservation must still run it (in
         // debt) once the funded kernel stops issuing, so it finishes.
-        let mut budgets = HashMap::new();
-        budgets.insert(ProcessId::new(0), 13);
-        budgets.insert(ProcessId::new(1), 0);
         let mut h = PolicyHarness::new(
-            DssPolicy::new(budgets, 0),
+            DssPolicy::new(vec![13, 0], 0),
             PreemptionMechanism::ContextSwitch,
         );
         h.submit(toy_launch(0, 0, 520, 50));

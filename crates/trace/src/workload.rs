@@ -30,12 +30,6 @@ pub struct ProcessSpec {
     /// Bound on released-but-not-started iterations for open arrivals;
     /// releases beyond it are shed. Ignored for closed-loop processes.
     pub backlog_cap: u32,
-    /// When `Some`, the host samples this process's queue depth at this
-    /// fixed simulated interval, producing a depth *trace* over time in
-    /// the host's `ArrivalStats` instead of only the time-weighted mean and
-    /// peak.
-    /// `None` (the default) keeps tracing off and stats allocation-free.
-    pub depth_trace: Option<SimTime>,
 }
 
 impl ProcessSpec {
@@ -48,7 +42,6 @@ impl ProcessSpec {
             rt: None,
             arrival: ArrivalProcess::ClosedLoop,
             backlog_cap: gpreempt_types::DEFAULT_BACKLOG_CAP,
-            depth_trace: None,
         }
     }
 
@@ -91,14 +84,6 @@ impl ProcessSpec {
         self
     }
 
-    /// Enables fixed-interval queue-depth trace sampling for this process.
-    /// A zero interval disables tracing (same as never calling this).
-    #[must_use]
-    pub fn with_depth_trace(mut self, interval: SimTime) -> Self {
-        self.depth_trace = (!interval.is_zero()).then_some(interval);
-        self
-    }
-
     /// The priority the scheduler should actually use for this process:
     /// derived from the real-time contract's criticality when one is
     /// present, the explicitly configured priority otherwise (the one-line
@@ -136,16 +121,6 @@ impl Workload {
     #[must_use]
     pub fn with_min_completions(mut self, n: u32) -> Self {
         self.min_completions = n.max(1);
-        self
-    }
-
-    /// Enables fixed-interval queue-depth trace sampling on **every**
-    /// process of the workload (a zero interval disables it everywhere).
-    #[must_use]
-    pub fn with_depth_trace(mut self, interval: SimTime) -> Self {
-        for spec in &mut self.processes {
-            spec.depth_trace = (!interval.is_zero()).then_some(interval);
-        }
         self
     }
 
@@ -198,26 +173,14 @@ impl Workload {
         (0..self.processes.len()).map(ProcessId::from)
     }
 
-    /// The index of the highest-priority process, if one strictly outranks
-    /// all others.
+    /// The highest-priority process, if exactly one process holds the top
+    /// priority.
     pub fn high_priority_process(&self) -> Option<ProcessId> {
         let max = self.processes.iter().map(|p| p.priority).max()?;
-        let mut holders = self
-            .processes
-            .iter()
-            .enumerate()
-            .filter(|(_, p)| p.priority == max);
-        let first = holders.next()?;
-        if holders.next().is_some()
-            || self.processes.iter().all(|p| p.priority == max) && self.len() > 1
-        {
-            // Either several processes share the top priority, or everyone does.
-            if self.processes.iter().filter(|p| p.priority == max).count() == 1 {
-                return Some(ProcessId::from(first.0));
-            }
-            return None;
-        }
-        Some(ProcessId::from(first.0))
+        let mut top = (0..self.len()).filter(|&i| self.processes[i].priority == max);
+        top.next()
+            .filter(|_| top.next().is_none())
+            .map(ProcessId::from)
     }
 
     /// Returns a copy of this workload whose benchmark traces are interned
@@ -486,6 +449,10 @@ mod tests {
         let spec = ProcessSpec::new(parboil::benchmark("spmv", &gpu).unwrap());
         let w = Workload::new("w", vec![spec.clone(), spec.clone()]);
         assert!(w.high_priority_process().is_none());
+        // Two HIGH processes share the top priority: neither is the one.
+        let high = spec.clone().with_priority(Priority::HIGH);
+        let w2 = Workload::new("w2", vec![high.clone(), spec.clone(), high]);
+        assert!(w2.high_priority_process().is_none());
         // Single process at normal priority counts as the top process.
         let w1 = Workload::new("w1", vec![spec]);
         assert_eq!(w1.high_priority_process(), Some(ProcessId::new(0)));

@@ -1,9 +1,14 @@
 //! Simulation configuration.
 //!
-//! The defaults reproduce Table 2 of the paper: a 4-core 2.8 GHz CPU, a
-//! PCIe 2.0 x16-like bus (500 MHz, 32 lanes, 4 KB bursts) and a GK110
-//! (Kepler K20c)-like GPU with 13 SMs, 706 MHz clock and 208 GB/s of memory
-//! bandwidth.
+//! The defaults reproduce the Table 2 values of the paper that the timing
+//! model reads: a PCIe 2.0 x16-like bus (500 MHz, 32 lanes, 4 KB bursts)
+//! and a GK110 (Kepler K20c)-like GPU with 13 SMs and 208 GB/s of memory
+//! bandwidth. Table 2's other values bind nothing here, so they are not
+//! parameters: traces carry the duration of every CPU phase and no
+//! experiment runs more processes than the 4-core, 2-way SMT CPU has
+//! hardware threads; the engine times whole thread blocks, not the GPU's
+//! clock or pipelines; and no experiment opens more than 8 of Hyper-Q's 32
+//! command queues.
 
 use crate::error::ConfigError;
 use crate::preemption::MechanismSelection;
@@ -52,13 +57,8 @@ impl SharedMemConfig {
 /// GPU (execution engine + memory system) parameters — Table 2, right column.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GpuConfig {
-    /// Core clock in MHz (706 MHz on K20c).
-    pub clock_mhz: u64,
     /// Number of streaming multiprocessors (13 on K20c).
     pub n_sms: u32,
-    /// SIMT lanes (pipelines) per SM; 32-wide warps on Kepler. Only used for
-    /// reporting, the timing model works at thread-block granularity.
-    pub pipelines_per_sm: u32,
     /// Off-chip memory bandwidth in GB/s (208 GB/s on K20c).
     pub mem_bandwidth_gbps: f64,
     /// Architectural registers per SM (65536 x 32-bit on GK110).
@@ -71,8 +71,6 @@ pub struct GpuConfig {
     pub shared_mem: SharedMemConfig,
     /// Maximum shared memory configuration available (48 KB on GK110).
     pub max_shared_mem: SharedMemConfig,
-    /// Number of hardware command queues (Hyper-Q exposes 32 on GK110).
-    pub n_command_queues: u32,
 }
 
 impl GpuConfig {
@@ -108,9 +106,6 @@ impl GpuConfig {
         if self.n_sms == 0 {
             return Err(ConfigError::new("GPU must have at least one SM"));
         }
-        if self.clock_mhz == 0 {
-            return Err(ConfigError::new("GPU clock must be non-zero"));
-        }
         if self.mem_bandwidth_gbps <= 0.0 || !self.mem_bandwidth_gbps.is_finite() {
             return Err(ConfigError::new("memory bandwidth must be positive"));
         }
@@ -125,9 +120,6 @@ impl GpuConfig {
         if self.max_threads_per_sm == 0 {
             return Err(ConfigError::new("max threads per SM must be non-zero"));
         }
-        if self.n_command_queues == 0 {
-            return Err(ConfigError::new("at least one command queue is required"));
-        }
         if self.shared_mem.bytes() > self.max_shared_mem.bytes() {
             return Err(ConfigError::new(
                 "default shared memory configuration exceeds the maximum",
@@ -141,63 +133,13 @@ impl Default for GpuConfig {
     /// The GK110 / Tesla K20c configuration from Table 2.
     fn default() -> Self {
         GpuConfig {
-            clock_mhz: 706,
             n_sms: 13,
-            pipelines_per_sm: 32,
             mem_bandwidth_gbps: 208.0,
             registers_per_sm: 65_536,
             max_blocks_per_sm: 16,
             max_threads_per_sm: 2_048,
             shared_mem: SharedMemConfig::Kb16,
             max_shared_mem: SharedMemConfig::Kb48,
-            n_command_queues: 32,
-        }
-    }
-}
-
-/// CPU parameters — Table 2, left column. The CPU model is coarse grained:
-/// traces carry the duration of each CPU phase, and the CPU configuration
-/// only bounds how many processes can run phases concurrently.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CpuConfig {
-    /// Core clock in MHz.
-    pub clock_mhz: u64,
-    /// Number of physical cores.
-    pub cores: u32,
-    /// Hardware threads per core (2-way SMT on the i7 930).
-    pub threads_per_core: u32,
-}
-
-impl CpuConfig {
-    /// Total hardware threads available to host processes.
-    pub fn hardware_threads(&self) -> u32 {
-        self.cores * self.threads_per_core
-    }
-
-    /// Validates the configuration.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`ConfigError`] if the core count or clock is zero.
-    pub fn validate(&self) -> Result<(), ConfigError> {
-        if self.cores == 0 || self.threads_per_core == 0 {
-            return Err(ConfigError::new(
-                "CPU must have at least one hardware thread",
-            ));
-        }
-        if self.clock_mhz == 0 {
-            return Err(ConfigError::new("CPU clock must be non-zero"));
-        }
-        Ok(())
-    }
-}
-
-impl Default for CpuConfig {
-    fn default() -> Self {
-        CpuConfig {
-            clock_mhz: 2_800,
-            cores: 4,
-            threads_per_core: 2,
         }
     }
 }
@@ -297,8 +239,6 @@ impl Default for PreemptionConfig {
 /// The complete simulation configuration (Table 2).
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct SimConfig {
-    /// Host CPU parameters.
-    pub cpu: CpuConfig,
     /// PCIe bus parameters.
     pub pcie: PcieConfig,
     /// GPU parameters.
@@ -317,10 +257,9 @@ impl SimConfig {
     ///
     /// # Errors
     ///
-    /// Returns the first [`ConfigError`] found in the CPU, PCIe or GPU
+    /// Returns the first [`ConfigError`] found in the PCIe or GPU
     /// configuration.
     pub fn validate(&self) -> Result<(), ConfigError> {
-        self.cpu.validate()?;
         self.pcie.validate()?;
         self.gpu.validate()?;
         Ok(())
@@ -334,15 +273,10 @@ mod tests {
     #[test]
     fn defaults_match_table2() {
         let c = SimConfig::default();
-        assert_eq!(c.cpu.clock_mhz, 2_800);
-        assert_eq!(c.cpu.cores, 4);
-        assert_eq!(c.cpu.threads_per_core, 2);
         assert_eq!(c.pcie.clock_mhz, 500);
         assert_eq!(c.pcie.lanes, 32);
         assert_eq!(c.pcie.burst_bytes, 4096);
-        assert_eq!(c.gpu.clock_mhz, 706);
         assert_eq!(c.gpu.n_sms, 13);
-        assert_eq!(c.gpu.pipelines_per_sm, 32);
         assert!((c.gpu.mem_bandwidth_gbps - 208.0).abs() < 1e-9);
         assert_eq!(c.gpu.registers_per_sm, 65_536);
         assert_eq!(c.gpu.max_blocks_per_sm, 16);
@@ -432,21 +366,10 @@ mod tests {
         };
         assert!(gpu.validate().is_err());
 
-        let cpu = CpuConfig {
-            cores: 0,
-            ..Default::default()
-        };
-        assert!(cpu.validate().is_err());
-
         let pcie = PcieConfig {
             lanes: 0,
             ..Default::default()
         };
         assert!(pcie.validate().is_err());
-    }
-
-    #[test]
-    fn cpu_hardware_threads() {
-        assert_eq!(CpuConfig::default().hardware_threads(), 8);
     }
 }

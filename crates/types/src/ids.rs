@@ -1,8 +1,8 @@
 //! Identifier newtypes.
 //!
-//! Every entity in the simulated system (processes, GPU contexts, streams,
-//! kernel launches, SMs, thread blocks, commands, hardware queues) is
-//! referred to by a small integer identifier. Each kind gets its own newtype
+//! Every entity in the simulated system (processes, streams, kernel
+//! launches, SMs, thread blocks, commands) is referred to by a small integer
+//! identifier. Each kind gets its own newtype
 //! so the type system prevents, e.g., indexing the SM status table with a
 //! stream id.
 
@@ -72,19 +72,9 @@ id_type!(
     "P"
 );
 id_type!(
-    /// A GPU context (address space + registered kernels) of a process.
-    ContextId,
-    "Ctx"
-);
-id_type!(
     /// A software work queue (CUDA *stream*) within a process.
     StreamId,
     "S"
-);
-id_type!(
-    /// A hardware command queue (Hyper-Q slot) on the GPU front-end.
-    QueueId,
-    "Q"
 );
 id_type!(
     /// A streaming multiprocessor (SM) in the execution engine.
@@ -212,8 +202,6 @@ mod tests {
         assert_eq!(ProcessId::new(1).to_string(), "P1");
         assert_eq!(SmId::new(12).to_string(), "SM12");
         assert_eq!(StreamId::new(0).to_string(), "S0");
-        assert_eq!(QueueId::new(7).to_string(), "Q7");
-        assert_eq!(ContextId::new(2).to_string(), "Ctx2");
         assert_eq!(KernelLaunchId::new(9).to_string(), "K9");
         assert_eq!(CommandId::new(4).to_string(), "Cmd4");
         assert_eq!(ThreadBlockId::new(8).to_string(), "TB8");

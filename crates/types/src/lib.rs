@@ -33,13 +33,11 @@ pub mod rt;
 pub mod time;
 
 pub use arrival::{AdmissionDecision, ArrivalProcess, DEFAULT_BACKLOG_CAP};
-pub use config::{CpuConfig, GpuConfig, PcieConfig, PreemptionConfig, SharedMemConfig, SimConfig};
+pub use config::{GpuConfig, PcieConfig, PreemptionConfig, SharedMemConfig, SimConfig};
 pub use error::{ConfigError, SimError};
-pub use ids::{
-    CommandId, ContextId, KernelLaunchId, ProcessId, QueueId, SmId, StreamId, ThreadBlockId,
-};
+pub use ids::{CommandId, KernelLaunchId, ProcessId, SmId, StreamId, ThreadBlockId};
 pub use kernel::{KernelClass, KernelFootprint};
 pub use preemption::{MechanismSelection, PreemptionMechanism};
-pub use priority::{Priority, TokenCount};
+pub use priority::Priority;
 pub use rt::{Criticality, RtSpec};
 pub use time::SimTime;

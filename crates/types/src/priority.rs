@@ -1,4 +1,4 @@
-//! Priorities and SM-budget tokens.
+//! Process and kernel priorities.
 
 use std::fmt;
 
@@ -6,7 +6,8 @@ use std::fmt;
 ///
 /// Larger values are more important. The paper's priority-queue schedulers
 /// (NPQ/PPQ) always pick the highest-priority runnable kernel; the DSS
-/// policy converts priorities into SM-budget tokens.
+/// policy ignores priorities and splits the SMs by per-process token
+/// budgets instead.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Priority(u32);
 
@@ -45,62 +46,6 @@ impl From<u32> for Priority {
     }
 }
 
-/// A (possibly negative) count of SM-ownership tokens, used by the DSS
-/// policy (§3.4). Kernels may go into "debt" (negative counts) when they
-/// occupy more SMs than their budget to avoid leaving SMs idle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-pub struct TokenCount(i32);
-
-impl TokenCount {
-    /// Zero tokens.
-    pub const ZERO: TokenCount = TokenCount(0);
-
-    /// Creates a token count.
-    pub const fn new(count: i32) -> Self {
-        TokenCount(count)
-    }
-
-    /// Returns the raw count.
-    pub const fn get(self) -> i32 {
-        self.0
-    }
-
-    /// Returns the count incremented by one (an SM was returned).
-    #[must_use]
-    pub const fn incremented(self) -> TokenCount {
-        TokenCount(self.0 + 1)
-    }
-
-    /// Returns the count decremented by one (an SM was taken).
-    #[must_use]
-    pub const fn decremented(self) -> TokenCount {
-        TokenCount(self.0 - 1)
-    }
-
-    /// Whether the kernel holds fewer SMs than its budget allows
-    /// (a positive count means it is owed SMs).
-    pub const fn is_positive(self) -> bool {
-        self.0 > 0
-    }
-
-    /// Whether the kernel is in debt (occupies more SMs than its budget).
-    pub const fn is_negative(self) -> bool {
-        self.0 < 0
-    }
-}
-
-impl fmt::Display for TokenCount {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{} tokens", self.0)
-    }
-}
-
-impl From<i32> for TokenCount {
-    fn from(count: i32) -> Self {
-        TokenCount(count)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -114,20 +59,7 @@ mod tests {
     }
 
     #[test]
-    fn token_arithmetic() {
-        let t = TokenCount::new(1);
-        assert_eq!(t.decremented(), TokenCount::ZERO);
-        assert_eq!(t.decremented().decremented(), TokenCount::new(-1));
-        assert!(TokenCount::new(-1).is_negative());
-        assert!(TokenCount::new(2).is_positive());
-        assert!(!TokenCount::ZERO.is_positive());
-        assert!(!TokenCount::ZERO.is_negative());
-        assert_eq!(TokenCount::from(3).get(), 3);
-    }
-
-    #[test]
     fn display_formats() {
         assert_eq!(Priority::new(2).to_string(), "prio2");
-        assert_eq!(TokenCount::new(-2).to_string(), "-2 tokens");
     }
 }
